@@ -20,7 +20,7 @@ std::unique_ptr<Database> MakeParentDb(int depth, bool indexed) {
     s = db->Execute("CREATE INDEX par_ix ON parent (par)").status();
   }
   auto tree = workload::MakeFullBinaryTrees(1, depth);
-  Table* table = &(*db->catalog().GetSource("parent"))->shard(0);
+  Table* table = *db->catalog().GetSource("parent");
   for (Tuple& t : tree.ToTuples()) table->InsertUnchecked(std::move(t));
   (void)s;
   return db;
@@ -32,7 +32,7 @@ void BM_Insert(benchmark::State& state) {
     Database db;
     benchmark::DoNotOptimize(
         db.Execute("CREATE TABLE t (a VARCHAR, b VARCHAR)"));
-    Table* table = &(*db.catalog().GetSource("t"))->shard(0);
+    Table* table = *db.catalog().GetSource("t");
     state.ResumeTiming();
     for (int i = 0; i < state.range(0); ++i) {
       table->InsertUnchecked({Value("k" + std::to_string(i)), Value("v")});

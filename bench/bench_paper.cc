@@ -50,7 +50,7 @@ const char* const kPaperBenches[] = {
     "bench_table8_update_breakdown",
     "bench_concurrency",
     "bench_net",
-    "bench_shard",
+    "bench_scale",
     "bench_wal",
 };
 
@@ -219,16 +219,16 @@ int RunSuite(const std::string& self_path, const std::string& out_path) {
     json.AddRaw("net", net);
   }
 
-  // And bench_shard's shards=1 vs shards=4 comparison.
-  std::string shard = ReadFileOrEmpty("BENCH_shard.json");
-  if (!shard.empty()) {
+  // And bench_scale's 10x-data fig12/fig13 cells.
+  std::string scale = ReadFileOrEmpty("BENCH_scale.json");
+  if (!scale.empty()) {
     std::string error;
-    if (!JsonValidator::Validate(shard, &error)) {
-      std::fprintf(stderr, "FATAL: BENCH_shard.json invalid: %s\n",
+    if (!JsonValidator::Validate(scale, &error)) {
+      std::fprintf(stderr, "FATAL: BENCH_scale.json invalid: %s\n",
                    error.c_str());
       return 1;
     }
-    json.AddRaw("shard", shard);
+    json.AddRaw("scale", scale);
   }
 
   // And bench_wal's durable-commit latency and session-open costs.

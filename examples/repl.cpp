@@ -85,16 +85,12 @@ void SetSlowLog(dkb::testbed::Testbed* tb, const std::string& arg) {
 
 int main(int argc, char** argv) {
   std::string connect;
-  size_t shards = 1;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--connect" && i + 1 < argc) {
       connect = argv[++i];
-    } else if (arg == "--shards" && i + 1 < argc) {
-      shards = static_cast<size_t>(std::atoi(argv[++i]));
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--connect host:port] [--shards N]\n", argv[0]);
+      std::fprintf(stderr, "usage: %s [--connect host:port]\n", argv[0]);
       return 2;
     }
   }
@@ -105,8 +101,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<dkb::testbed::Testbed> local_tb;
   std::unique_ptr<dkb::Client> client;
   if (connect.empty()) {
-    auto tb_or = dkb::testbed::Testbed::Create(
-        dkb::testbed::TestbedOptions{}.WithShards(shards));
+    auto tb_or = dkb::testbed::Testbed::Create();
     if (!tb_or.ok()) {
       std::fprintf(stderr, "init failed: %s\n",
                    tb_or.status().ToString().c_str());

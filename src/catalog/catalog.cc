@@ -12,13 +12,7 @@ bool IsSystemTableName(const std::string& name) {
   return StartsWith(AsciiLower(name), "sys.");
 }
 
-Result<ScanSource*> Catalog::CreateTable(const std::string& name,
-                                         Schema schema) {
-  return CreateTable(name, std::move(schema), default_shards_);
-}
-
-Result<ScanSource*> Catalog::CreateTable(const std::string& name,
-                                         Schema schema, size_t shard_count) {
+Result<Table*> Catalog::CreateTable(const std::string& name, Schema schema) {
   if (IsSystemTableName(name)) {
     return Status::InvalidArgument("schema 'sys' is reserved for system views");
   }
@@ -39,17 +33,11 @@ Result<ScanSource*> Catalog::CreateTable(const std::string& name,
   if (tables_.count(key) > 0) {
     return Status::AlreadyExists("table " + name + " already exists");
   }
-  std::shared_ptr<ScanSource> table;
-  if (shard_count > 1) {
-    table = std::make_shared<ShardedTable>(name, std::move(schema),
-                                           shard_count);
-  } else {
-    table = std::make_shared<Table>(name, std::move(schema));
-  }
+  auto table = std::make_shared<Table>(name, std::move(schema));
   // Stored tables stamp commit epochs; '#' temporaries stay unversioned
   // (physical Clear each LFP iteration, no vacuum debt).
   if (epochs_ != nullptr && !temp) table->EnableVersioning(epochs_);
-  ScanSource* raw = table.get();
+  Table* raw = table.get();
   tables_.emplace(std::move(key), std::move(table));
   return raw;
 }
@@ -73,7 +61,7 @@ Status Catalog::DropTable(const std::string& name) {
   return Status::NotFound("table " + name + " does not exist");
 }
 
-Result<ScanSource*> Catalog::GetSource(const std::string& name) const {
+Result<Table*> Catalog::GetSource(const std::string& name) const {
   std::string key = Key(name);
   {
     ReaderLock lock(mu_);
@@ -83,9 +71,9 @@ Result<ScanSource*> Catalog::GetSource(const std::string& name) const {
     if (pit != pinned_bases_.end()) return pit->second.get();
   }
   if (base_ != nullptr && !name.empty() && name[0] != '#') {
-    DKB_ASSIGN_OR_RETURN(std::shared_ptr<ScanSource> src,
+    DKB_ASSIGN_OR_RETURN(std::shared_ptr<Table> src,
                          base_->GetSourceShared(name));
-    ScanSource* raw = src.get();
+    Table* raw = src.get();
     WriterLock lock(mu_);
     pinned_bases_.emplace(std::move(key), std::move(src));
     return raw;
@@ -93,7 +81,7 @@ Result<ScanSource*> Catalog::GetSource(const std::string& name) const {
   return Status::NotFound("table " + name + " does not exist");
 }
 
-Result<std::shared_ptr<ScanSource>> Catalog::GetSourceShared(
+Result<std::shared_ptr<Table>> Catalog::GetSourceShared(
     const std::string& name) const {
   ReaderLock lock(mu_);
   auto it = tables_.find(Key(name));
@@ -103,9 +91,9 @@ Result<std::shared_ptr<ScanSource>> Catalog::GetSourceShared(
   return it->second;
 }
 
-std::vector<std::shared_ptr<ScanSource>> Catalog::SnapshotTables() const {
+std::vector<std::shared_ptr<Table>> Catalog::SnapshotTables() const {
   ReaderLock lock(mu_);
-  std::vector<std::shared_ptr<ScanSource>> out;
+  std::vector<std::shared_ptr<Table>> out;
   out.reserve(tables_.size());
   for (const auto& [key, table] : tables_) out.push_back(table);
   return out;
@@ -165,7 +153,7 @@ Result<Schema> Catalog::VirtualTableSchema(const std::string& name) const {
   return it->second.schema;
 }
 
-Result<ResolvedSource> Catalog::ResolveScanSource(
+Result<ResolvedSource> Catalog::ResolveSource(
     const std::string& name) const {
   VirtualTableProvider provider;
   {
@@ -193,7 +181,7 @@ Result<ResolvedSource> Catalog::ResolveScanSource(
   }
   if (base_ != nullptr && !name.empty() && name[0] != '#') {
     DKB_ASSIGN_OR_RETURN(ResolvedSource source,
-                         base_->ResolveScanSource(name));
+                         base_->ResolveSource(name));
     // Stored base tables must be read at the session's pinned epoch.
     // (Virtual hits on the base are unversioned snapshots; overriding their
     // epoch is harmless.)
@@ -207,7 +195,7 @@ Status Catalog::CreateIndex(const std::string& table_name,
                             const std::string& index_name,
                             const std::vector<std::string>& column_names,
                             bool ordered) {
-  DKB_ASSIGN_OR_RETURN(ScanSource * table, GetSource(table_name));
+  DKB_ASSIGN_OR_RETURN(Table * table, GetSource(table_name));
   std::vector<size_t> cols;
   cols.reserve(column_names.size());
   for (const std::string& cname : column_names) {

@@ -10,8 +10,6 @@
 #include "common/status.h"
 #include "common/sync.h"
 #include "storage/epoch.h"
-#include "storage/scan_source.h"
-#include "storage/sharded_table.h"
 #include "storage/table.h"
 
 namespace dkb {
@@ -22,23 +20,20 @@ namespace dkb {
 using VirtualTableProvider =
     std::function<Result<std::shared_ptr<const Table>>()>;
 
-/// What a FROM-list name resolves to: a stored source or a virtual-table
+/// What a FROM-list name resolves to: a stored table or a virtual-table
 /// snapshot. `owned` keeps the source alive for the duration of the plan
 /// (shared catalog ownership for stored tables — a concurrent DROP cannot
 /// free a table a running plan scans — and the snapshot itself for virtual
 /// tables). `read_epoch` is the epoch scans of this source must read at:
 /// kLatestEpoch outside MVCC sessions; unversioned sources ignore it.
 struct ResolvedSource {
-  const ScanSource* source = nullptr;
-  std::shared_ptr<const ScanSource> owned;
+  const Table* source = nullptr;
+  std::shared_ptr<const Table> owned;
   Epoch read_epoch = kLatestEpoch;
 };
 
 /// Catalog of tables and their indexes, keyed by case-insensitive name.
-/// Stored entries are ScanSources: a plain Table, or a ShardedTable when the
-/// catalog-wide default shard count is > 1 (set once at testbed startup, so
-/// base tables and the LFP's `#` temporaries all shard identically and stay
-/// aligned for per-shard set operations).
+/// Every stored relation is one Table.
 ///
 /// Table names beginning with '#' are session-temporary by convention; the
 /// LFP run time library creates and drops them each iteration exactly as the
@@ -54,12 +49,6 @@ class Catalog {
 
   Catalog(const Catalog&) = delete;
   Catalog& operator=(const Catalog&) = delete;
-
-  /// Default shard count for tables created from here on (1 = plain Table).
-  /// Set once at startup, before any table exists; not thread-safe against
-  /// concurrent CreateTable.
-  void SetDefaultShards(size_t n) { default_shards_ = n == 0 ? 1 : n; }
-  size_t default_shards() const { return default_shards_; }
 
   /// MVCC: tables created from here on are attached to `epochs` and stamp
   /// rows with commit epochs — except `#`-temporaries, which stay
@@ -86,21 +75,15 @@ class Catalog {
     return read_epoch_.load(std::memory_order_relaxed);
   }
 
-  /// Creates an empty table with the catalog's default shard count. Fails
-  /// with AlreadyExists on name collision and with InvalidArgument for names
-  /// in the reserved `sys.` schema.
-  Result<ScanSource*> CreateTable(const std::string& name, Schema schema)
+  /// Creates an empty table. Fails with AlreadyExists on name collision
+  /// and with InvalidArgument for names in the reserved `sys.` schema.
+  Result<Table*> CreateTable(const std::string& name, Schema schema)
       DKB_EXCLUDES(mu_);
-
-  /// Creates a table with an explicit shard count (snapshot load restoring
-  /// a foreign layout).
-  Result<ScanSource*> CreateTable(const std::string& name, Schema schema,
-                                  size_t shard_count) DKB_EXCLUDES(mu_);
 
   /// Registers a read-only virtual table (a system view): its fixed schema
   /// plus a provider that materializes a snapshot on demand. Virtual tables
   /// live in their own namespace-by-convention (`sys.<name>`) and are only
-  /// reachable through ResolveScanSource — never through GetSource, and
+  /// reachable through ResolveSource — never through GetSource, and
   /// never serialized or cloned with the stored tables.
   Status RegisterVirtualTable(const std::string& name, Schema schema,
                               VirtualTableProvider provider)
@@ -117,20 +100,20 @@ class Catalog {
 
   /// Resolves a FROM-list name: stored tables win, then virtual tables
   /// (whose provider runs here, materializing a fresh snapshot).
-  Result<ResolvedSource> ResolveScanSource(const std::string& name) const
+  Result<ResolvedSource> ResolveSource(const std::string& name) const
       DKB_EXCLUDES(mu_);
 
   /// Drops a table and its indexes. Fails with NotFound if absent.
   Status DropTable(const std::string& name) DKB_EXCLUDES(mu_);
 
-  /// Looks up a stored source; NotFound if absent. On overlays the lookup
+  /// Looks up a stored table; NotFound if absent. On overlays the lookup
   /// falls through to the base (see SetBase), pinning the hit.
-  Result<ScanSource*> GetSource(const std::string& name) const
+  Result<Table*> GetSource(const std::string& name) const
       DKB_EXCLUDES(mu_);
 
   /// Like GetSource but hands out shared ownership; used by overlays to pin
   /// base tables and by the checkpoint writer to hold tables steady.
-  Result<std::shared_ptr<ScanSource>> GetSourceShared(
+  Result<std::shared_ptr<Table>> GetSourceShared(
       const std::string& name) const DKB_EXCLUDES(mu_);
 
   bool HasTable(const std::string& name) const DKB_EXCLUDES(mu_);
@@ -138,16 +121,15 @@ class Catalog {
   /// Shared handles on all stored tables (this catalog only, no base
   /// fall-through), unordered. The vacuum pass and the checkpoint writer
   /// iterate this instead of holding the catalog lock across table work.
-  std::vector<std::shared_ptr<ScanSource>> SnapshotTables() const
+  std::vector<std::shared_ptr<Table>> SnapshotTables() const
       DKB_EXCLUDES(mu_);
 
   /// Drops the base-table pins accumulated since the last call (session
   /// refresh: the new epoch must re-resolve, and dropped tables get freed).
   void ClearPinnedBases() DKB_EXCLUDES(mu_);
 
-  /// Creates an index named `index_name` over `column_names` of `table_name`
-  /// — on every shard, so index availability is uniform across the grid.
-  /// `ordered` selects OrderedIndex over HashIndex.
+  /// Creates an index named `index_name` over `column_names` of
+  /// `table_name`. `ordered` selects OrderedIndex over HashIndex.
   Status CreateIndex(const std::string& table_name,
                      const std::string& index_name,
                      const std::vector<std::string>& column_names,
@@ -166,20 +148,19 @@ class Catalog {
     VirtualTableProvider provider;
   };
 
-  /// Guards the name maps only (see the class comment): ScanSource* handed
-  /// out by GetSource/ResolveScanSource deliberately escape the lock —
+  /// Guards the name maps only (see the class comment): Table* handed
+  /// out by GetSource/ResolveSource deliberately escape the lock —
   /// table *contents* are protected by the session-level reader-writer
   /// protocol, and entries live until DropTable, which the protocol
   /// serializes.
   mutable SharedMutex mu_;
-  std::unordered_map<std::string, std::shared_ptr<ScanSource>> tables_
+  std::unordered_map<std::string, std::shared_ptr<Table>> tables_
       DKB_GUARDED_BY(mu_);
   /// Base tables resolved through this overlay since the last refresh; keeps
   /// their raw pointers valid across a concurrent DROP on the base.
-  mutable std::unordered_map<std::string, std::shared_ptr<ScanSource>>
+  mutable std::unordered_map<std::string, std::shared_ptr<Table>>
       pinned_bases_ DKB_GUARDED_BY(mu_);
   std::unordered_map<std::string, VirtualEntry> virtuals_ DKB_GUARDED_BY(mu_);
-  size_t default_shards_ = 1;
   const EpochSource* epochs_ = nullptr;
   const Catalog* base_ = nullptr;
   std::atomic<Epoch> read_epoch_{kLatestEpoch};

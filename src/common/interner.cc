@@ -46,15 +46,6 @@ uint32_t StringDict::Intern(std::string_view s) {
   return id;
 }
 
-std::array<size_t, StringDict::kSegments> StringDict::SegmentSizes() const {
-  std::array<size_t, kSegments> sizes{};
-  for (size_t i = 0; i < kSegments; ++i) {
-    ReaderLock lock(segments_[i].mu);
-    sizes[i] = segments_[i].ids.size();
-  }
-  return sizes;
-}
-
 StringDict& GlobalStringDict() {
   // Leaked on purpose: interned ids live in Values of arbitrary lifetime
   // (including other static-duration objects), so the dictionary must

@@ -24,7 +24,7 @@ namespace dkb {
 /// both representations freely.
 ///
 /// Thread safety: the dedup map is segmented by content hash into
-/// kSegments independently locked shards — Intern takes a shared lock on
+/// kSegments independently locked segments — Intern takes a shared lock on
 /// its segment for the hit path and an exclusive one to insert, so
 /// concurrent interning of distinct strings contends only on the short
 /// id-allocation critical section (alloc_mu_). Get/HashOf are lock-free.
@@ -37,7 +37,7 @@ class StringDict {
   /// Sentinel for "not interned"; never returned by Intern.
   static constexpr uint32_t kInvalidId = 0xFFFFFFFFu;
 
-  /// Dedup-map segments (lock shards). Power of two so segment selection is
+  /// Dedup-map segments (lock stripes). Power of two so segment selection is
   /// a mask of the content hash.
   static constexpr size_t kSegments = 16;
 
@@ -57,11 +57,6 @@ class StringDict {
 
   /// Number of distinct strings interned so far.
   size_t size() const { return size_.load(std::memory_order_acquire); }
-
-  /// Distinct strings per dedup segment (sys.shards reports one row each).
-  /// Each segment is read under its own lock; the array as a whole is not a
-  /// consistent snapshot.
-  std::array<size_t, kSegments> SegmentSizes() const;
 
  private:
   struct EntryRec {

@@ -5,12 +5,12 @@
 
 namespace dkb {
 
-/// The engine's parallelism knobs in one place. Historically these were
-/// spread over three surfaces — exec::ParallelTuning (morsel thresholds),
-/// lfp::EvalOptions::parallelism (wavefront width), and the DKB_THREADS
-/// environment variable (pool size) — which made it impossible to reason
-/// about a query's effective parallelism from any single struct. The old
-/// surfaces survive as deprecated delegates; new code reads and writes this.
+/// The engine's parallelism knobs in one place: pool size, LFP clique
+/// width, and the row thresholds above which scans, hash-join builds and
+/// the semi-naive termination diff fan out to the pool. The DKB_THREADS
+/// environment variable only supplies the default pool size, and
+/// lfp::EvalOptions::parallelism is the per-call copy of lfp_parallelism
+/// that lfp::ExecuteProgram receives.
 ///
 /// One policy instance is process-wide (GlobalParallelismPolicy); queries
 /// may carry an override through testbed::QueryOptions::WithPolicy, which
@@ -25,12 +25,14 @@ struct ParallelismPolicy {
   /// 1 = serial, 0 = size to the pool, N > 1 = at most N at a time.
   int lfp_parallelism = 1;
 
-  /// Minimum table slots before a sequential scan splits into shard × morsel
-  /// grid cells on the pool; below it the serial path runs.
+  /// Minimum table slots before a sequential scan splits into morsels on
+  /// the pool; below it the serial path runs.
   size_t seq_scan_min_rows = 8192;
-  /// Minimum build-side rows before a hash join hash-partitions its build.
+  /// Minimum rows before a hash table is built hash-partitioned on the
+  /// pool: a hash join's build side, and the semi-naive termination diff's
+  /// `full` + `new` inputs (lfp::EvalContext::DiffInto).
   size_t hash_build_min_rows = 8192;
-  /// Rows per scan morsel (grid-cell granularity within a shard).
+  /// Rows per scan morsel.
   size_t morsel_rows = 4096;
 
   ParallelismPolicy& WithThreads(int n) {

@@ -4,7 +4,7 @@
 
 namespace dkb::exec {
 
-Status Scope::AddTable(std::string name, const ScanSource* table,
+Status Scope::AddTable(std::string name, const Table* table,
                        Epoch read_epoch) {
   for (const auto& b : bindings_) {
     if (EqualsIgnoreCase(b.name, name)) {

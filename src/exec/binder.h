@@ -16,7 +16,7 @@ namespace dkb::exec {
 /// One FROM-list entry resolved against the catalog.
 struct TableBinding {
   std::string name;         // effective (alias or table) name
-  const ScanSource* table;  // resolved storage source (Table or ShardedTable)
+  const Table* table;  // resolved storage (stored table or sys.* snapshot)
   size_t offset;  // first slot of this table's columns in the joined row
   Epoch read_epoch = kLatestEpoch;  // epoch scans of this table read at
 };
@@ -26,7 +26,7 @@ struct TableBinding {
 /// (conceptual) fully-joined row.
 class Scope {
  public:
-  Status AddTable(std::string name, const ScanSource* table,
+  Status AddTable(std::string name, const Table* table,
                   Epoch read_epoch = kLatestEpoch);
 
   const std::vector<TableBinding>& bindings() const { return bindings_; }

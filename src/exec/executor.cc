@@ -181,7 +181,7 @@ Result<QueryResult> Executor::ExecuteCreateIndex(
 Result<QueryResult> Executor::ExecuteInsert(const sql::InsertStmt& stmt,
                                             const std::vector<Value>* params) {
   DKB_RETURN_IF_ERROR(RejectSystemTable(stmt.table, "INSERT"));
-  DKB_ASSIGN_OR_RETURN(ScanSource * table, catalog_->GetSource(stmt.table));
+  DKB_ASSIGN_OR_RETURN(Table * table, catalog_->GetSource(stmt.table));
   QueryResult result;
   if (stmt.select != nullptr) {
     // Materialize the SELECT fully before inserting so that
@@ -235,7 +235,7 @@ Result<QueryResult> Executor::ExecuteInsert(const sql::InsertStmt& stmt,
 Result<QueryResult> Executor::ExecuteDelete(const sql::DeleteStmt& stmt,
                                             const std::vector<Value>* params) {
   DKB_RETURN_IF_ERROR(RejectSystemTable(stmt.table, "DELETE"));
-  DKB_ASSIGN_OR_RETURN(ScanSource * table, catalog_->GetSource(stmt.table));
+  DKB_ASSIGN_OR_RETURN(Table * table, catalog_->GetSource(stmt.table));
   QueryResult result;
   if (stmt.where == nullptr) {
     result.rows_affected = static_cast<int64_t>(table->num_tuples());
@@ -247,18 +247,12 @@ Result<QueryResult> Executor::ExecuteDelete(const sql::DeleteStmt& stmt,
   DKB_ASSIGN_OR_RETURN(
       BoundExprPtr predicate,
       BindExpr(*stmt.where, scope, SlotMode::kGlobal, 0, params));
-  // RowIds are shard-local, so collect and delete within each shard.
-  int64_t deleted = 0;
-  for (size_t sh = 0; sh < table->shard_count(); ++sh) {
-    Table& shard = table->shard(sh);
-    std::vector<RowId> victims;
-    shard.Scan([&](RowId rid, const Tuple& t) {
-      if (predicate->EvaluateBool(t)) victims.push_back(rid);
-    });
-    for (RowId rid : victims) shard.Delete(rid);
-    deleted += static_cast<int64_t>(victims.size());
-  }
-  result.rows_affected = deleted;
+  std::vector<RowId> victims;
+  table->Scan([&](RowId rid, const Tuple& t) {
+    if (predicate->EvaluateBool(t)) victims.push_back(rid);
+  });
+  for (RowId rid : victims) table->Delete(rid);
+  result.rows_affected = static_cast<int64_t>(victims.size());
   return result;
 }
 

@@ -37,33 +37,13 @@ void ApplyFilterToBatch(const BoundExpr* filter, RowBatch* batch,
   batch->ComposeSelection(*scratch);
 }
 
-/// Per-shard index instance matching the shard-0 template: index definitions
-/// are uniform across shards (Catalog::CreateIndex installs on every shard),
-/// so a name lookup on shard `s` always finds the counterpart.
-const Index* ShardIndex(const ScanSource& source, size_t s,
-                        const Index* tmpl) {
-  if (s == 0) return tmpl;
-  for (const auto& idx : source.shard(s).indexes()) {
-    if (idx->name() == tmpl->name()) return idx.get();
-  }
-  return nullptr;  // unreachable under the uniform-index invariant
-}
-
-/// True when every probe of `index` can be routed to one home shard: the
-/// index key is exactly the partition column, so a key's hash decides the
-/// only shard that can hold matching rows.
-bool RoutableOnPartitionColumn(const ScanSource& source, const Index* index) {
-  return source.shard_count() > 1 && index->key_columns().size() == 1 &&
-         index->key_columns()[0] == source.partition_column();
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // SeqScan
 // ---------------------------------------------------------------------------
 
-SeqScanNode::SeqScanNode(const ScanSource* source, BoundExprPtr filter,
+SeqScanNode::SeqScanNode(const Table* source, BoundExprPtr filter,
                          ExecStats* stats, Epoch epoch)
     : source_(source),
       filter_(std::move(filter)),
@@ -73,59 +53,39 @@ SeqScanNode::SeqScanNode(const ScanSource* source, BoundExprPtr filter,
 }
 
 Status SeqScanNode::OpenImpl() {
-  shard_ = 0;
   cursor_ = 0;
   pos_ = 0;
   rows_.clear();
   materialized_ = false;
 
   const ParallelismPolicy& tuning = GlobalParallelismPolicy();
-  const size_t nshards = source_->shard_count();
-  size_t total_slots = 0;
-  for (size_t sh = 0; sh < nshards; ++sh) {
-    total_slots += source_->shard(sh).num_slots();
-  }
+  const size_t n = source_->num_slots();
   ThreadPool& pool = GlobalThreadPool();
-  if (total_slots < tuning.seq_scan_min_rows || pool.num_threads() == 0) {
+  if (n < tuning.seq_scan_min_rows || pool.num_threads() == 0) {
     return Status::OK();
   }
 
-  // Shard × morsel grid: each cell batch-filters one row range of one shard
-  // into a private buffer; buffers concatenate in grid order (shard-major,
-  // then row order), matching the serial path exactly.
+  // Morsels of consecutive rows: each batch-filters its row range into a
+  // private buffer; buffers concatenate in row order, matching the serial
+  // path exactly.
   materialized_ = true;
   const size_t morsel = std::max<size_t>(tuning.morsel_rows, 1);
-  struct Cell {
-    size_t shard;
-    RowId lo;
-    RowId hi;
-  };
-  std::vector<Cell> grid;
-  for (size_t sh = 0; sh < nshards; ++sh) {
-    const Table& shard = source_->shard(sh);
-    const size_t n = shard.num_slots();
-    const size_t cells = (n + morsel - 1) / morsel;
-    if (cells > 0) shard.NoteMorsels(cells);
-    for (size_t m = 0; m < cells; ++m) {
-      grid.push_back(Cell{sh, static_cast<RowId>(m * morsel),
-                          static_cast<RowId>(std::min(n, (m + 1) * morsel))});
-    }
-  }
-  StatAdd(stats_->morsels, static_cast<int64_t>(grid.size()));
-  CountMorsels(static_cast<int64_t>(grid.size()));
-  std::vector<std::vector<Tuple>> buffers(grid.size());
+  const size_t morsels = (n + morsel - 1) / morsel;
+  StatAdd(stats_->morsels, static_cast<int64_t>(morsels));
+  CountMorsels(static_cast<int64_t>(morsels));
+  std::vector<std::vector<Tuple>> buffers(morsels);
   std::atomic<int64_t> scanned{0};
-  pool.ParallelFor(0, grid.size(), [&](size_t g) {
-    const Cell& cell = grid[g];
-    const Table& shard = source_->shard(cell.shard);
-    std::vector<Tuple>& buf = buffers[g];
+  pool.ParallelFor(0, morsels, [&](size_t m) {
+    const RowId lo = static_cast<RowId>(m * morsel);
+    const RowId hi = static_cast<RowId>(std::min(n, (m + 1) * morsel));
+    std::vector<Tuple>& buf = buffers[m];
     RowBatch batch;
-    batch.Reset(shard.schema().num_columns());
+    batch.Reset(source_->schema().num_columns());
     int64_t local = 0;
-    for (RowId rid = cell.lo; rid < cell.hi; ++rid) {
-      if (!shard.VisibleAt(rid, epoch_)) continue;
+    for (RowId rid = lo; rid < hi; ++rid) {
+      if (!source_->VisibleAt(rid, epoch_)) continue;
       ++local;
-      batch.AppendRow(shard.Get(rid));
+      batch.AppendRow(source_->Get(rid));
     }
     std::vector<uint32_t> sel;
     ApplyFilterToBatch(filter_.get(), &batch, &sel);
@@ -154,14 +114,8 @@ Result<bool> SeqScanNode::NextBatchImpl(RowBatch* out) {
     return !out->empty();
   }
   while (true) {
-    cursor_ = source_->ScanBatch(shard_, cursor_, out, epoch_);
-    if (out->physical_size() == 0) {
-      // Shard exhausted; move to the next one.
-      if (shard_ + 1 >= source_->shard_count()) return false;
-      ++shard_;
-      cursor_ = 0;
-      continue;
-    }
+    cursor_ = source_->ScanBatch(cursor_, out, epoch_);
+    if (out->physical_size() == 0) return false;
     StatAdd(stats_->rows_scanned,
             static_cast<int64_t>(out->physical_size()));
     ApplyFilterToBatch(filter_.get(), out, &sel_scratch_);
@@ -179,12 +133,11 @@ void SeqScanNode::CloseImpl() {
 // IndexScan
 // ---------------------------------------------------------------------------
 
-IndexScanNode::IndexScanNode(const ScanSource* source, const Index* index,
+IndexScanNode::IndexScanNode(const Table* source, const Index* index,
                              std::vector<Tuple> keys, BoundExprPtr filter,
                              ExecStats* stats, Epoch epoch)
     : source_(source),
       index_(index),
-      routed_(RoutableOnPartitionColumn(*source, index)),
       keys_(std::move(keys)),
       filter_(std::move(filter)),
       stats_(stats),
@@ -194,40 +147,9 @@ IndexScanNode::IndexScanNode(const ScanSource* source, const Index* index,
 
 Status IndexScanNode::OpenImpl() {
   key_pos_ = 0;
-  shard_pos_ = 0;
-  buffer_shard_ = 0;
   buffer_.clear();
   buffer_pos_ = 0;
   return Status::OK();
-}
-
-bool IndexScanNode::NextProbe() {
-  const size_t nshards = source_->shard_count();
-  while (key_pos_ < keys_.size()) {
-    if (shard_pos_ >= nshards) {
-      ++key_pos_;
-      shard_pos_ = 0;
-      continue;
-    }
-    const Tuple& key = keys_[key_pos_];
-    size_t sh = shard_pos_;
-    if (routed_) {
-      // Single-column key on the partition column: only one shard can hold
-      // matches, so skip the other probes for this key.
-      sh = source_->ShardOfValue(key[0]);
-      shard_pos_ = nshards;
-    } else {
-      ++shard_pos_;
-    }
-    buffer_.clear();
-    buffer_pos_ = 0;
-    buffer_shard_ = sh;
-    StatAdd(stats_->index_probes);
-    const Table& shard = source_->shard(sh);
-    shard.ProbeIndex(ShardIndex(*source_, sh, index_), key, &buffer_);
-    return true;
-  }
-  return false;
 }
 
 Result<bool> IndexScanNode::NextBatchImpl(RowBatch* out) {
@@ -236,13 +158,16 @@ Result<bool> IndexScanNode::NextBatchImpl(RowBatch* out) {
     while (!out->full()) {
       if (buffer_pos_ < buffer_.size()) {
         RowId rid = buffer_[buffer_pos_++];
-        const Table& shard = source_->shard(buffer_shard_);
-        if (!shard.VisibleAt(rid, epoch_)) continue;
+        if (!source_->VisibleAt(rid, epoch_)) continue;
         StatAdd(stats_->index_rows);
-        out->AppendRow(shard.Get(rid));
+        out->AppendRow(source_->Get(rid));
         continue;
       }
-      if (!NextProbe()) break;
+      if (key_pos_ >= keys_.size()) break;
+      buffer_.clear();
+      buffer_pos_ = 0;
+      StatAdd(stats_->index_probes);
+      source_->ProbeIndex(index_, keys_[key_pos_++], &buffer_);
     }
     if (out->physical_size() == 0) return false;
     ApplyFilterToBatch(filter_.get(), out, &sel_scratch_);
@@ -254,7 +179,7 @@ Result<bool> IndexScanNode::NextBatchImpl(RowBatch* out) {
 // IndexRangeScan
 // ---------------------------------------------------------------------------
 
-IndexRangeScanNode::IndexRangeScanNode(const ScanSource* source,
+IndexRangeScanNode::IndexRangeScanNode(const Table* source,
                                        const OrderedIndex* index,
                                        std::optional<Value> lo,
                                        std::optional<Value> hi,
@@ -270,45 +195,27 @@ IndexRangeScanNode::IndexRangeScanNode(const ScanSource* source,
   set_schema(source->schema());
 }
 
-void IndexRangeScanNode::ProbeShard() {
+Status IndexRangeScanNode::OpenImpl() {
+  buffer_.clear();
+  buffer_pos_ = 0;
   Tuple lo_key;
   Tuple hi_key;
   if (lo_.has_value()) lo_key = Tuple{*lo_};
   if (hi_.has_value()) hi_key = Tuple{*hi_};
   StatAdd(stats_->index_probes);
-  // Same index definition on every shard, so the same index kind too.
-  const auto* index = static_cast<const OrderedIndex*>(
-      ShardIndex(*source_, shard_, index_));
-  source_->shard(shard_).ProbeIndexRange(
-      index, lo_.has_value() ? &lo_key : nullptr,
-      hi_.has_value() ? &hi_key : nullptr, &buffer_);
-}
-
-Status IndexRangeScanNode::OpenImpl() {
-  shard_ = 0;
-  buffer_.clear();
-  buffer_pos_ = 0;
-  ProbeShard();
+  source_->ProbeIndexRange(index_, lo_.has_value() ? &lo_key : nullptr,
+                           hi_.has_value() ? &hi_key : nullptr, &buffer_);
   return Status::OK();
 }
 
 Result<bool> IndexRangeScanNode::NextBatchImpl(RowBatch* out) {
   while (true) {
     out->Reset(output_width());
-    while (!out->full()) {
-      if (buffer_pos_ < buffer_.size()) {
-        RowId rid = buffer_[buffer_pos_++];
-        const Table& shard = source_->shard(shard_);
-        if (!shard.VisibleAt(rid, epoch_)) continue;
-        StatAdd(stats_->index_rows);
-        out->AppendRow(shard.Get(rid));
-        continue;
-      }
-      if (shard_ + 1 >= source_->shard_count()) break;
-      ++shard_;
-      buffer_.clear();
-      buffer_pos_ = 0;
-      ProbeShard();
+    while (!out->full() && buffer_pos_ < buffer_.size()) {
+      RowId rid = buffer_[buffer_pos_++];
+      if (!source_->VisibleAt(rid, epoch_)) continue;
+      StatAdd(stats_->index_rows);
+      out->AppendRow(source_->Get(rid));
     }
     if (out->physical_size() == 0) return false;
     ApplyFilterToBatch(filter_.get(), out, &sel_scratch_);
@@ -537,7 +444,7 @@ void HashJoinNode::CloseImpl() {
 // IndexNLJoin
 // ---------------------------------------------------------------------------
 
-IndexNLJoinNode::IndexNLJoinNode(PlanNodePtr outer, const ScanSource* inner,
+IndexNLJoinNode::IndexNLJoinNode(PlanNodePtr outer, const Table* inner,
                                  const Index* index,
                                  std::vector<size_t> outer_key_slots,
                                  BoundExprPtr residual, ExecStats* stats,
@@ -545,7 +452,6 @@ IndexNLJoinNode::IndexNLJoinNode(PlanNodePtr outer, const ScanSource* inner,
     : outer_(std::move(outer)),
       inner_(inner),
       index_(index),
-      routed_(RoutableOnPartitionColumn(*inner, index)),
       outer_key_slots_(std::move(outer_key_slots)),
       residual_(std::move(residual)),
       stats_(stats),
@@ -557,32 +463,9 @@ Status IndexNLJoinNode::OpenImpl() {
   outer_batch_.Reset(0);
   outer_pos_ = 0;
   outer_done_ = false;
-  // Start with the probe grid exhausted so the first iteration pulls an
-  // outer row.
-  shard_pos_ = inner_->shard_count();
-  buffer_shard_ = 0;
   buffer_.clear();
   buffer_pos_ = 0;
   return outer_->Open();
-}
-
-bool IndexNLJoinNode::ProbeNextShard() {
-  const size_t nshards = inner_->shard_count();
-  if (shard_pos_ >= nshards) return false;
-  size_t sh = shard_pos_;
-  if (routed_) {
-    sh = inner_->ShardOfValue(key_scratch_[0]);
-    shard_pos_ = nshards;  // one probe per key
-  } else {
-    ++shard_pos_;
-  }
-  buffer_.clear();
-  buffer_pos_ = 0;
-  buffer_shard_ = sh;
-  StatAdd(stats_->index_probes);
-  const Table& shard = inner_->shard(sh);
-  shard.ProbeIndex(ShardIndex(*inner_, sh, index_), key_scratch_, &buffer_);
-  return true;
 }
 
 Result<bool> IndexNLJoinNode::NextBatchImpl(RowBatch* out) {
@@ -591,13 +474,11 @@ Result<bool> IndexNLJoinNode::NextBatchImpl(RowBatch* out) {
     while (!out->full()) {
       if (buffer_pos_ < buffer_.size()) {
         RowId rid = buffer_[buffer_pos_++];
-        const Table& shard = inner_->shard(buffer_shard_);
-        if (!shard.VisibleAt(rid, epoch_)) continue;
+        if (!inner_->VisibleAt(rid, epoch_)) continue;
         StatAdd(stats_->index_rows);
-        out->AppendConcat(outer_row_, shard.Get(rid));
+        out->AppendConcat(outer_row_, inner_->Get(rid));
         continue;
       }
-      if (ProbeNextShard()) continue;
       if (outer_pos_ >= outer_batch_.size()) {
         if (outer_done_) break;
         DKB_ASSIGN_OR_RETURN(bool more, outer_->NextBatch(&outer_batch_));
@@ -611,9 +492,10 @@ Result<bool> IndexNLJoinNode::NextBatchImpl(RowBatch* out) {
       outer_batch_.CopyRowTo(outer_pos_++, &outer_row_);
       key_scratch_.clear();
       for (size_t s : outer_key_slots_) key_scratch_.push_back(outer_row_[s]);
-      shard_pos_ = 0;
       buffer_.clear();
       buffer_pos_ = 0;
+      StatAdd(stats_->index_probes);
+      inner_->ProbeIndex(index_, key_scratch_, &buffer_);
     }
     if (out->physical_size() == 0) return false;
     ApplyFilterToBatch(residual_.get(), out, &sel_scratch_);

@@ -15,7 +15,6 @@
 #include "common/row_batch.h"
 #include "common/status.h"
 #include "exec/expr.h"
-#include "storage/scan_source.h"
 #include "storage/table.h"
 
 namespace dkb::exec {
@@ -97,16 +96,6 @@ inline void StatAdd(std::atomic<int64_t>& counter, int64_t n = 1) {
   counter.fetch_add(n, std::memory_order_relaxed);
 }
 
-/// Deprecated: the morsel thresholds moved to ParallelismPolicy
-/// (common/parallelism.h) so all parallelism knobs live in one struct. The
-/// alias and accessor delegate to the global policy for source compat.
-using ParallelTuning = ParallelismPolicy;
-
-[[deprecated("use GlobalParallelismPolicy() from common/parallelism.h")]]
-inline ParallelTuning& GetParallelTuning() {
-  return GlobalParallelismPolicy();
-}
-
 /// Volcano-style physical operator, batch-at-a-time. Open() may be called
 /// repeatedly; each call resets the operator to produce its output from the
 /// beginning (the nested-loop join relies on this for its inner side).
@@ -178,7 +167,7 @@ class PlanNode {
   /// plan: scan operators reference snapshots by raw pointer, so the
   /// planner pins each snapshot to the root node to keep it alive for the
   /// plan's lifetime.
-  void PinSource(std::shared_ptr<const ScanSource> source) {
+  void PinSource(std::shared_ptr<const Table> source) {
     pinned_sources_.push_back(std::move(source));
   }
 
@@ -212,24 +201,23 @@ class PlanNode {
 
   Schema schema_;
   std::unique_ptr<Profile> profile_;
-  std::vector<std::shared_ptr<const ScanSource>> pinned_sources_;
+  std::vector<std::shared_ptr<const Table>> pinned_sources_;
 };
 
 using PlanNodePtr = std::unique_ptr<PlanNode>;
 
-/// Full-table scan over a ScanSource with optional pushed-down filter,
-/// batched straight off ScanSource::ScanBatch with the filter applied as a
-/// selection vector. Shards scan in order, so output order is deterministic
-/// for a given shard count.
+/// Full-table scan with optional pushed-down filter, batched straight off
+/// Table::ScanBatch with the filter applied as a selection vector. Output
+/// is in slot order.
 ///
-/// Sources with at least ParallelismPolicy::seq_scan_min_rows total slots
-/// are scanned as a shard × morsel work grid on GlobalThreadPool at Open
-/// time; each grid cell filters its row range of one shard vectorized into
-/// a private buffer, and buffers concatenate in grid order, so results are
-/// identical to the serial path.
+/// Tables with at least ParallelismPolicy::seq_scan_min_rows slots are
+/// scanned as morsels of consecutive rows on GlobalThreadPool at Open time;
+/// each morsel filters its row range vectorized into a private buffer, and
+/// buffers concatenate in row order, so results are identical to the
+/// serial path.
 class SeqScanNode : public PlanNode {
  public:
-  SeqScanNode(const ScanSource* source, BoundExprPtr filter, ExecStats* stats,
+  SeqScanNode(const Table* source, BoundExprPtr filter, ExecStats* stats,
               Epoch epoch = kLatestEpoch);
 
   Status OpenImpl() override;
@@ -240,11 +228,10 @@ class SeqScanNode : public PlanNode {
   }
 
  private:
-  const ScanSource* source_;
+  const Table* source_;
   BoundExprPtr filter_;  // may be null
   ExecStats* stats_;
   Epoch epoch_;  // read epoch for visibility checks
-  size_t shard_ = 0;
   RowId cursor_ = 0;
   bool materialized_ = false;     // parallel path: rows_ holds the output
   std::vector<Tuple> rows_;
@@ -254,14 +241,9 @@ class SeqScanNode : public PlanNode {
 
 /// Index lookup for one or more literal keys (supports `col = lit` and
 /// `col IN (...)` access paths), with optional residual filter.
-///
-/// Index definitions are uniform across shards, so the node re-resolves the
-/// shard-0 template index per shard and probes each key against every
-/// shard — except single-column indexes on the partition column, where the
-/// key's hash routes the probe to its one home shard.
 class IndexScanNode : public PlanNode {
  public:
-  IndexScanNode(const ScanSource* source, const Index* index,
+  IndexScanNode(const Table* source, const Index* index,
                 std::vector<Tuple> keys, BoundExprPtr filter,
                 ExecStats* stats, Epoch epoch = kLatestEpoch);
 
@@ -272,20 +254,13 @@ class IndexScanNode : public PlanNode {
   }
 
  private:
-  /// Probes keys_[key_pos_] into buffer_, advancing the (key, shard) grid.
-  /// Returns false when all probes are done.
-  bool NextProbe();
-
-  const ScanSource* source_;
-  const Index* index_;  // shard-0 template (name/columns)
-  bool routed_;         // single-column index on the partition column
+  const Table* source_;
+  const Index* index_;
   std::vector<Tuple> keys_;
   BoundExprPtr filter_;
   ExecStats* stats_;
   Epoch epoch_;
-  size_t key_pos_ = 0;
-  size_t shard_pos_ = 0;       // next shard to probe for the current key
-  size_t buffer_shard_ = 0;    // shard buffer_ row ids belong to
+  size_t key_pos_ = 0;  // next key to probe
   std::vector<RowId> buffer_;
   size_t buffer_pos_ = 0;
   std::vector<uint32_t> sel_scratch_;
@@ -296,7 +271,7 @@ class IndexScanNode : public PlanNode {
 /// applied as part of the residual filter, so exclusive bounds stay exact.
 class IndexRangeScanNode : public PlanNode {
  public:
-  IndexRangeScanNode(const ScanSource* source, const OrderedIndex* index,
+  IndexRangeScanNode(const Table* source, const OrderedIndex* index,
                      std::optional<Value> lo, std::optional<Value> hi,
                      BoundExprPtr filter, ExecStats* stats,
                      Epoch epoch = kLatestEpoch);
@@ -308,17 +283,13 @@ class IndexRangeScanNode : public PlanNode {
   }
 
  private:
-  /// Runs the range probe against shard_, refilling buffer_.
-  void ProbeShard();
-
-  const ScanSource* source_;
-  const OrderedIndex* index_;  // shard-0 template
+  const Table* source_;
+  const OrderedIndex* index_;
   std::optional<Value> lo_;
   std::optional<Value> hi_;
   BoundExprPtr filter_;
   ExecStats* stats_;
   Epoch epoch_;
-  size_t shard_ = 0;           // shard buffer_ row ids belong to
   std::vector<RowId> buffer_;
   size_t buffer_pos_ = 0;
   std::vector<uint32_t> sel_scratch_;
@@ -442,13 +413,11 @@ class HashJoinNode : public PlanNode {
   std::vector<uint32_t> sel_scratch_;
 };
 
-/// Index nested-loop join: probes an index of the inner base source with
+/// Index nested-loop join: probes an index of the inner base table with
 /// key values taken from outer-row slots. Output = outer ++ inner columns.
-/// Probes fan out across shards like IndexScanNode's, with the same
-/// partition-column routing shortcut.
 class IndexNLJoinNode : public PlanNode {
  public:
-  IndexNLJoinNode(PlanNodePtr outer, const ScanSource* inner,
+  IndexNLJoinNode(PlanNodePtr outer, const Table* inner,
                   const Index* index, std::vector<size_t> outer_key_slots,
                   BoundExprPtr residual, ExecStats* stats,
                   Epoch epoch = kLatestEpoch);
@@ -465,13 +434,9 @@ class IndexNLJoinNode : public PlanNode {
   }
 
  private:
-  /// Probes key_scratch_ against the next shard; false when exhausted.
-  bool ProbeNextShard();
-
   PlanNodePtr outer_;
-  const ScanSource* inner_;
-  const Index* index_;  // shard-0 template
-  bool routed_;         // single-column index on the partition column
+  const Table* inner_;
+  const Index* index_;
   std::vector<size_t> outer_key_slots_;  // aligned with index key columns
   BoundExprPtr residual_;
   ExecStats* stats_;
@@ -481,8 +446,6 @@ class IndexNLJoinNode : public PlanNode {
   bool outer_done_ = false;
   Tuple outer_row_;
   Tuple key_scratch_;
-  size_t shard_pos_ = 0;     // next shard to probe for the current key
-  size_t buffer_shard_ = 0;  // shard buffer_ row ids belong to
   std::vector<RowId> buffer_;
   size_t buffer_pos_ = 0;
   std::vector<uint32_t> sel_scratch_;

@@ -68,7 +68,7 @@ class Planner {
  public:
   /// Virtual-table snapshots materialized while planning; the caller pins
   /// them to the plan root so they outlive planning.
-  std::vector<std::shared_ptr<const ScanSource>> pinned_;
+  std::vector<std::shared_ptr<const Table>> pinned_;
 };
 
 Result<ConjunctInfo> Planner::Classify(const sql::Expr* expr,
@@ -154,7 +154,7 @@ Result<ConjunctInfo> Planner::Classify(const sql::Expr* expr,
 Result<PlanNodePtr> Planner::PlanAccessPath(
     const Scope& scope, size_t binding,
     std::vector<ConjunctInfo*> conjuncts) {
-  const ScanSource* table = scope.bindings()[binding].table;
+  const Table* table = scope.bindings()[binding].table;
   const Epoch epoch = scope.bindings()[binding].read_epoch;
 
   // Look for an equality/IN predicate matching a single-column index; if
@@ -239,7 +239,7 @@ Result<PlanNodePtr> Planner::PlanCore(const sql::SelectCore& core) {
   Scope scope;
   for (const sql::TableRef& ref : core.from) {
     DKB_ASSIGN_OR_RETURN(ResolvedSource resolved,
-                         catalog_.ResolveScanSource(ref.table));
+                         catalog_.ResolveSource(ref.table));
     if (resolved.owned != nullptr) pinned_.push_back(resolved.owned);
     DKB_RETURN_IF_ERROR(scope.AddTable(ref.EffectiveName(), resolved.source,
                                        resolved.read_epoch));
@@ -270,7 +270,7 @@ Result<PlanNodePtr> Planner::PlanCore(const sql::SelectCore& core) {
 
   // Join remaining tables left-to-right.
   for (size_t bi = 1; bi < scope.bindings().size(); ++bi) {
-    const ScanSource* inner = scope.bindings()[bi].table;
+    const Table* inner = scope.bindings()[bi].table;
 
     // Conjuncts that become fully bound once table bi joins.
     std::vector<ConjunctInfo*> available;
@@ -637,7 +637,7 @@ Result<PlanNodePtr> PlanSelect(const sql::SelectStmt& stmt,
                                const std::vector<Value>* params) {
   Planner planner(catalog, stats, params);
   DKB_ASSIGN_OR_RETURN(PlanNodePtr plan, planner.PlanStmt(stmt));
-  for (std::shared_ptr<const ScanSource>& source : planner.pinned_) {
+  for (std::shared_ptr<const Table>& source : planner.pinned_) {
     plan->PinSource(std::move(source));
   }
   return plan;

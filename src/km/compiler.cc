@@ -42,7 +42,7 @@ Result<double> EstimateSelectivity(const Atom& query,
   for (const std::string& pred : base_preds) {
     auto it = base_types.find(pred);
     if (it == base_types.end() || it->second.size() != 2) continue;
-    DKB_ASSIGN_OR_RETURN(ScanSource * table,
+    DKB_ASSIGN_OR_RETURN(Table * table,
                          stored->db()->catalog().GetSource(EdbTableName(pred)));
     d_tot += static_cast<int64_t>(table->num_tuples());
     table->Scan(

@@ -121,7 +121,7 @@ Status StoredDkb::InsertFacts(const std::string& pred,
   if (!HasBasePredicate(pred)) {
     return Status::NotFound("base predicate " + pred + " is not defined");
   }
-  DKB_ASSIGN_OR_RETURN(ScanSource * table,
+  DKB_ASSIGN_OR_RETURN(Table * table,
                        db_->catalog().GetSource(EdbTableName(pred)));
   RowBatch batch;
   batch.Reset(table->schema().num_columns());
@@ -140,7 +140,7 @@ Status StoredDkb::ClearFacts(const std::string& pred) {
   if (!HasBasePredicate(pred)) {
     return Status::NotFound("base predicate " + pred + " is not defined");
   }
-  DKB_ASSIGN_OR_RETURN(ScanSource * table,
+  DKB_ASSIGN_OR_RETURN(Table * table,
                        db_->catalog().GetSource(EdbTableName(pred)));
   table->Clear();
   return Status::OK();

@@ -77,11 +77,16 @@ class EvalContext {
   Status CopyTable(const std::string& dst, const std::string& src);
 
   /// Batch-native semi-naive termination step: appends to `diff` every
-  /// distinct row of `new_table` not already in `full` and returns how many
-  /// were appended. Dedup runs over a hash set keyed on interned values —
-  /// the O(1)-hash replacement for the prepared
+  /// distinct row of `new_table` not already in `full`, in `new_table` scan
+  /// order, and returns how many were appended. Dedup runs over hash sets
+  /// of in-place row references keyed on interned values — the O(1)-hash
+  /// replacement for the prepared
   /// `INSERT INTO diff (SELECT * FROM new) EXCEPT (SELECT * FROM full)`
-  /// + COUNT(*) statement pair (termination bucket).
+  /// + COUNT(*) statement pair (termination bucket). When `full` and `new`
+  /// together hold at least ParallelismPolicy::hash_build_min_rows rows and
+  /// the global pool has workers, the rows are hash-partitioned into
+  /// (workers + 1) partitions deduplicated concurrently; the result is
+  /// identical to the serial pass.
   Result<int64_t> DiffInto(const std::string& diff,
                            const std::string& new_table,
                            const std::string& full);

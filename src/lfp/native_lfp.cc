@@ -249,7 +249,7 @@ class NativeExecutor {
     if (binding_it == program_.bindings.end()) {
       return Status::Internal("no binding for " + pred);
     }
-    DKB_ASSIGN_OR_RETURN(ScanSource * table,
+    DKB_ASSIGN_OR_RETURN(Table * table,
                          db_->catalog().GetSource(binding_it->second.table));
     auto rel = std::make_unique<NativeRelation>();
     table->Scan([&rel](RowId, const Tuple& row) { rel->Insert(row); },
@@ -429,7 +429,7 @@ class NativeExecutor {
     for (const km::ProgramNode& node : program_.nodes) {
       for (const std::string& p : node.predicates) {
         const km::PredicateBinding& b = program_.bindings.at(p);
-        DKB_ASSIGN_OR_RETURN(ScanSource * table,
+        DKB_ASSIGN_OR_RETURN(Table * table,
                              db_->catalog().GetSource(b.table));
         batch.Reset(table->schema().num_columns());
         for (const Tuple& t : relations_.at(p)->rows()) {

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -19,7 +20,7 @@ namespace dkb {
 
 namespace {
 
-constexpr char kMagic[8] = {'D', 'K', 'B', 'C', 'K', 'P', 'T', '1'};
+constexpr char kMagic[8] = {'D', 'K', 'B', 'C', 'K', 'P', 'T', '2'};
 
 constexpr uint8_t kCellNull = 0;
 constexpr uint8_t kCellInt = 1;
@@ -44,24 +45,23 @@ class DictBuilder {
   std::vector<std::string> strings_;
 };
 
-void EncodeShardRows(const Table& shard, DictBuilder* dict,
-                     codec::Writer* w) {
-  // Materialize the shard's visible rows once, then lay them out
+void EncodeRows(const Table& table, DictBuilder* dict, codec::Writer* w) {
+  // Materialize the table's visible rows once, then lay them out
   // column-major (one tag stream per column compresses the common
   // all-int / all-string cases into tight runs).
   std::vector<Tuple> rows;
-  rows.reserve(shard.num_tuples());
+  rows.reserve(table.num_tuples());
   RowBatch batch;
   RowId cursor = 0;
   for (;;) {
-    cursor = shard.ScanBatch(cursor, &batch, kLatestEpoch);
+    cursor = table.ScanBatch(cursor, &batch, kLatestEpoch);
     if (batch.empty()) break;
     for (size_t i = 0; i < batch.size(); ++i) {
       rows.push_back(batch.MaterializeTuple(i));
     }
   }
   w->U64(rows.size());
-  const size_t ncols = shard.schema().num_columns();
+  const size_t ncols = table.schema().num_columns();
   for (size_t c = 0; c < ncols; ++c) {
     for (const Tuple& row : rows) {
       const Value& v = row[c];
@@ -144,7 +144,7 @@ Result<std::string_view> CheckedPayload(const std::string& data,
   if (data.size() < sizeof(kMagic) + 4 ||
       std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::InvalidArgument("checkpoint: " + path +
-                                   " is not a DKBCKPT1 file");
+                                   " is not a DKBCKPT2 file");
   }
   std::string_view payload(data.data() + sizeof(kMagic),
                            data.size() - sizeof(kMagic) - 4);
@@ -163,19 +163,17 @@ Result<std::string_view> CheckedPayload(const std::string& data,
 
 Status WriteCheckpoint(const std::string& path, uint64_t last_lsn,
                        uint64_t epoch,
-                       const std::vector<const ScanSource*>& tables,
+                       const std::vector<const Table*>& tables,
                        const std::vector<std::string>& rules) {
   // Table data is encoded first (into its own buffer) so the dictionary it
   // discovers can be written ahead of it in the file.
   DictBuilder dict;
   codec::Writer body;
   body.U32(static_cast<uint32_t>(tables.size()));
-  for (const ScanSource* table : tables) {
+  for (const Table* table : tables) {
     body.Str(table->name());
-    body.U32(static_cast<uint32_t>(table->shard_count()));
-    body.U32(static_cast<uint32_t>(table->partition_column()));
     body.Cols(table->schema());
-    const auto& indexes = table->shard(0).indexes();
+    const auto& indexes = table->indexes();
     body.U16(static_cast<uint16_t>(indexes.size()));
     for (const auto& index : indexes) {
       body.Str(index->name());
@@ -185,9 +183,7 @@ Status WriteCheckpoint(const std::string& path, uint64_t last_lsn,
         body.U16(static_cast<uint16_t>(col));
       }
     }
-    for (size_t s = 0; s < table->shard_count(); ++s) {
-      EncodeShardRows(table->shard(s), &dict, &body);
-    }
+    EncodeRows(*table, &dict, &body);
   }
 
   codec::Writer payload;
@@ -244,6 +240,8 @@ Result<CheckpointInfo> ReadCheckpoint(const std::string& path,
 
   uint32_t ndict = 0;
   if (!r.U32(&ndict)) return malformed();
+  // Each entry is at least its u32 length prefix.
+  if (ndict > r.remaining() / 4) return malformed();
   std::vector<Value> dict;
   dict.reserve(ndict);
   for (uint32_t i = 0; i < ndict; ++i) {
@@ -257,14 +255,9 @@ Result<CheckpointInfo> ReadCheckpoint(const std::string& path,
   if (!r.U32(&ntables)) return malformed();
   for (uint32_t t = 0; t < ntables; ++t) {
     std::string name;
-    uint32_t shard_count = 0;
-    uint32_t partition_column = 0;
     Schema schema;
-    if (!r.Str(&name) || !r.U32(&shard_count) || !r.U32(&partition_column) ||
-        !r.Cols(&schema)) {
-      return malformed();
-    }
-    if (shard_count == 0) return malformed();
+    if (!r.Str(&name) || !r.Cols(&schema)) return malformed();
+    const size_t ncols = schema.num_columns();
 
     struct IndexSpec {
       std::string name;
@@ -276,83 +269,80 @@ Result<CheckpointInfo> ReadCheckpoint(const std::string& path,
     std::vector<IndexSpec> index_specs(nindexes);
     for (auto& spec : index_specs) {
       uint8_t ordered = 0;
-      uint16_t ncols = 0;
-      if (!r.Str(&spec.name) || !r.U8(&ordered) || !r.U16(&ncols)) {
+      uint16_t nkeys = 0;
+      if (!r.Str(&spec.name) || !r.U8(&ordered) || !r.U16(&nkeys)) {
         return malformed();
       }
       spec.ordered = ordered != 0;
-      spec.key_columns.resize(ncols);
+      spec.key_columns.resize(nkeys);
       for (auto& col : spec.key_columns) {
         uint16_t c = 0;
         if (!r.U16(&c)) return malformed();
+        // Index::MakeKey reads tuple[col] unchecked.
+        if (c >= ncols) {
+          return Status::InvalidArgument(
+              "checkpoint: " + path + " index " + spec.name + " on " + name +
+              " keys column " + std::to_string(c) + " of a " +
+              std::to_string(ncols) + "-column schema");
+        }
         col = c;
       }
     }
 
-    DKB_ASSIGN_OR_RETURN(
-        ScanSource * source,
-        factory(name, schema, shard_count, partition_column));
-    if (source->shard_count() != shard_count) {
-      return Status::Internal("checkpoint: factory created '" + name +
-                              "' with " +
-                              std::to_string(source->shard_count()) +
-                              " shards, file has " +
-                              std::to_string(shard_count));
+    uint64_t nrows = 0;
+    if (!r.U64(&nrows)) return malformed();
+    // Every cell is at least its 1-byte tag, so a count the rest of the
+    // payload cannot hold is rejected before it sizes any allocation.
+    if (nrows > r.remaining() / std::max<size_t>(ncols, 1)) {
+      return malformed();
+    }
+    std::vector<std::vector<Value>> columns(ncols);
+    for (size_t c = 0; c < ncols; ++c) {
+      columns[c].reserve(nrows);
+      for (uint64_t i = 0; i < nrows; ++i) {
+        uint8_t tag = 0;
+        if (!r.U8(&tag)) return malformed();
+        switch (tag) {
+          case kCellNull:
+            columns[c].push_back(Value::Null());
+            break;
+          case kCellInt: {
+            int64_t v = 0;
+            if (!r.I64(&v)) return malformed();
+            columns[c].push_back(Value(v));
+            break;
+          }
+          case kCellStr: {
+            uint32_t id = 0;
+            if (!r.U32(&id)) return malformed();
+            if (id >= dict.size()) return malformed();
+            columns[c].push_back(dict[id]);
+            break;
+          }
+          default:
+            return malformed();
+        }
+      }
     }
 
-    const size_t ncols = schema.num_columns();
-    for (uint32_t s = 0; s < shard_count; ++s) {
-      uint64_t nrows = 0;
-      if (!r.U64(&nrows)) return malformed();
-      std::vector<std::vector<Value>> columns(ncols);
-      for (size_t c = 0; c < ncols; ++c) {
-        columns[c].reserve(nrows);
-        for (uint64_t i = 0; i < nrows; ++i) {
-          uint8_t tag = 0;
-          if (!r.U8(&tag)) return malformed();
-          switch (tag) {
-            case kCellNull:
-              columns[c].push_back(Value::Null());
-              break;
-            case kCellInt: {
-              int64_t v = 0;
-              if (!r.I64(&v)) return malformed();
-              columns[c].push_back(Value(v));
-              break;
-            }
-            case kCellStr: {
-              uint32_t id = 0;
-              if (!r.U32(&id)) return malformed();
-              if (id >= dict.size()) return malformed();
-              columns[c].push_back(dict[id]);
-              break;
-            }
-            default:
-              return malformed();
-          }
-        }
+    DKB_ASSIGN_OR_RETURN(Table * table, factory(name, schema));
+    RowBatch batch;
+    batch.Reset(ncols);
+    for (uint64_t i = 0; i < nrows; ++i) {
+      Tuple row;
+      row.reserve(ncols);
+      for (size_t c = 0; c < ncols; ++c) row.push_back(columns[c][i]);
+      batch.AppendRow(std::move(row));
+      if (batch.full()) {
+        DKB_RETURN_IF_ERROR(table->AppendBatch(batch));
+        batch.Reset(ncols);
       }
-      // Rows go straight into their original shard — no re-hashing — so
-      // the recovered layout is byte-for-byte the one that was saved.
-      Table& shard = source->shard(s);
-      RowBatch batch;
-      batch.Reset(ncols);
-      for (uint64_t i = 0; i < nrows; ++i) {
-        Tuple row;
-        row.reserve(ncols);
-        for (size_t c = 0; c < ncols; ++c) row.push_back(columns[c][i]);
-        batch.AppendRow(std::move(row));
-        if (batch.full()) {
-          DKB_RETURN_IF_ERROR(shard.AppendBatch(batch));
-          batch.Reset(ncols);
-        }
-      }
-      if (!batch.empty()) DKB_RETURN_IF_ERROR(shard.AppendBatch(batch));
     }
+    if (!batch.empty()) DKB_RETURN_IF_ERROR(table->AppendBatch(batch));
 
     for (const auto& spec : index_specs) {
       DKB_RETURN_IF_ERROR(
-          source->AddIndexSpec(spec.name, spec.key_columns, spec.ordered));
+          table->AddIndexSpec(spec.name, spec.key_columns, spec.ordered));
     }
   }
   if (!r.Done()) {

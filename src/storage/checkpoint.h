@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "storage/scan_source.h"
+#include "storage/table.h"
 
 namespace dkb {
 
@@ -22,20 +22,21 @@ namespace dkb {
 /// Layout (storage/codec.h primitives, all little-endian), CRC-32 trailer
 /// over everything after the magic:
 ///
-///   "DKBCKPT1"                       8-byte magic
+///   "DKBCKPT2"                       8-byte magic
 ///   u64 last_lsn                     WAL position the image includes
 ///   u64 epoch                        committed epoch at write time
 ///   u32 nrules, nrules x Str         workspace rule/program texts
 ///   u32 ndict,  ndict  x Str         file-local string dictionary
 ///   u32 ntables, per table:
 ///     Str  name
-///     u32  shard_count               preserved so recovery reproduces the
-///     u32  partition_column          exact hash-partition layout
 ///     Cols schema
 ///     u16  nindexes x { Str name, u8 ordered, u16 ncols, ncols x u16 }
-///     per shard: u64 nrows, then column-major values:
+///     u64  nrows, then column-major values:
 ///       u8 tag per cell — 0 NULL | 1 i64 follows | 2 u32 dict id follows
 ///   u32 crc
+///
+/// Version 1 ("DKBCKPT1") carried a shard count and partition column per
+/// table and one row list per shard; it is rejected, not converted.
 ///
 /// Strings are dictionary-coded per file: each distinct VARCHAR is stored
 /// once and cells reference it by dense u32 id, mirroring the in-memory
@@ -49,24 +50,25 @@ struct CheckpointInfo {
 
 /// Recreates one empty stored table during ReadCheckpoint: the callee
 /// registers it (catalog / stored-DKB bookkeeping) and returns the storage
-/// to load rows into. Shard count and partition column must be honored so
-/// the on-disk per-shard row lists land back in their original shards.
-using TableFactory = std::function<Result<ScanSource*>(
-    const std::string& name, const Schema& schema, size_t shard_count,
-    size_t partition_column)>;
+/// to load rows into.
+using TableFactory = std::function<Result<Table*>(const std::string& name,
+                                                  const Schema& schema)>;
 
 /// Writes a checkpoint of `tables` (rows visible at the latest epoch) and
 /// `rules` to `path` via a temp file + atomic rename. The caller must hold
 /// the write side of the testbed lock so the image is a consistent cut.
 Status WriteCheckpoint(const std::string& path, uint64_t last_lsn,
-                       uint64_t epoch, const std::vector<const ScanSource*>& tables,
+                       uint64_t epoch, const std::vector<const Table*>& tables,
                        const std::vector<std::string>& rules);
 
 /// Loads the checkpoint at `path`: calls `factory` once per table, appends
-/// each shard's rows directly to the matching shard (preserving layout),
-/// recreates index definitions, and fills `rules_out` with the saved rule
-/// texts. Returns header metadata. The target system must be empty; loading
-/// into a non-empty catalog is the caller's kFailedPrecondition to enforce.
+/// its rows in their saved order, recreates index definitions, and fills
+/// `rules_out` with the saved rule texts. Counts and index key columns
+/// read from the file are bounded against the payload and the schema
+/// before anything is allocated or indexed, so a CRC-valid but hostile file
+/// gets a Status, never a huge allocation or an out-of-range key. Returns
+/// header metadata. The target system must be empty; loading into a
+/// non-empty catalog is the caller's kFailedPrecondition to enforce.
 Result<CheckpointInfo> ReadCheckpoint(const std::string& path,
                                       const TableFactory& factory,
                                       std::vector<std::string>* rules_out);

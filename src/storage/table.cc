@@ -138,9 +138,6 @@ RowId Table::ScanBatch(RowId cursor, RowBatch* out, Epoch at) const {
     }
     ++cursor;
   }
-  if (!out->empty()) {
-    scan_batches_.fetch_add(1, std::memory_order_relaxed);
-  }
   return cursor;
 }
 
@@ -260,6 +257,15 @@ Status Table::AddIndexLocked(std::unique_ptr<Index> index) {
   }
   indexes_.push_back(std::move(index));
   return Status::OK();
+}
+
+Status Table::AddIndexSpec(const std::string& index_name,
+                           const std::vector<size_t>& key_columns,
+                           bool ordered) {
+  if (ordered) {
+    return AddIndex(std::make_unique<OrderedIndex>(index_name, key_columns));
+  }
+  return AddIndex(std::make_unique<HashIndex>(index_name, key_columns));
 }
 
 const Index* Table::FindIndexOn(

@@ -11,15 +11,14 @@
 #include "common/sync.h"
 #include "storage/epoch.h"
 #include "storage/index.h"
-#include "storage/scan_source.h"
 #include "storage/schema.h"
 #include "storage/tuple.h"
 
 namespace dkb {
 
 /// Heap table: an append-only, segmented in-memory store with per-row
-/// [begin, end) epoch stamps and attached secondary indexes. The
-/// single-shard ScanSource — every shard of a ShardedTable is one of these.
+/// [begin, end) epoch stamps and attached secondary indexes. Every stored
+/// relation, LFP temporary and `sys.*` snapshot is one of these.
 ///
 /// Rows live in fixed-size segments reached through a two-level directory of
 /// atomic pointers, so slot addresses are stable for the lifetime of the
@@ -45,24 +44,22 @@ namespace dkb {
 /// must filter hits through VisibleAt. Unversioned tables keep the original
 /// contract: no reader may overlap a mutation, and no locks are taken. See
 /// DESIGN.md "Durability & MVCC".
-class Table : public ScanSource {
+class Table {
  public:
   /// Rows per segment; one segment fills exactly one scan batch.
   static constexpr size_t kSegmentRows = 1024;
   static constexpr size_t kChunkSegments = 64;  // segments per chunk
-  static constexpr size_t kMaxChunks = 1024;    // 64M rows per shard
+  static constexpr size_t kMaxChunks = 1024;    // 64M rows per table
 
   Table(std::string name, Schema schema)
       : name_(std::move(name)), schema_(std::move(schema)) {}
-  ~Table() override;
+  ~Table();
 
-  const std::string& name() const override { return name_; }
-  const Schema& schema() const override { return schema_; }
+  Table(const Table&) = delete;
+  Table& operator=(const Table&) = delete;
 
-  /// ScanSource: a Table is its own single shard.
-  size_t shard_count() const override { return 1; }
-  const Table& shard(size_t) const override { return *this; }
-  Table& shard(size_t) override { return *this; }
+  const std::string& name() const { return name_; }
+  const Schema& schema() const { return schema_; }
 
   /// Attaches the epoch counter; rows inserted from here on are stamped.
   /// Must run before the first insert (the catalog calls it at CreateTable).
@@ -70,7 +67,7 @@ class Table : public ScanSource {
   bool versioned() const { return epochs_ != nullptr; }
 
   /// Number of rows visible at the latest epoch.
-  size_t num_tuples() const override {
+  size_t num_tuples() const {
     return static_cast<size_t>(live_count_.load(std::memory_order_relaxed));
   }
   /// Total slots including dead ones; valid RowIds are < num_slots().
@@ -109,7 +106,7 @@ class Table : public ScanSource {
   /// readers are unaffected). Unversioned: physical reset — payloads are
   /// freed, size drops to zero, indexes are rebuilt empty (segments stay
   /// allocated for reuse, which keeps LFP's per-iteration temp churn cheap).
-  void Clear() override;
+  void Clear();
 
   /// Reclaims rows no reader can see: every slot whose end epoch is at or
   /// below `min_pinned` (the oldest pinned epoch, or the committed epoch
@@ -124,21 +121,6 @@ class Table : public ScanSource {
   /// Interned VARCHAR payloads live in the global dictionary and are not
   /// counted.
   size_t ApproxBytes() const;
-
-  /// Executor hook: scan morsels dispatched against this shard, for
-  /// sys.shards. Relaxed counter — a statistic, not a synchronization.
-  void NoteMorsels(uint64_t n) const {
-    morsels_.fetch_add(n, std::memory_order_relaxed);
-  }
-  uint64_t morsels_dispatched() const {
-    return morsels_.load(std::memory_order_relaxed);
-  }
-
-  /// Non-empty batches ScanBatch has produced from this shard (same relaxed
-  /// statistics-only discipline as the morsel counter), for sys.shards.
-  uint64_t scan_batches() const {
-    return scan_batches_.load(std::memory_order_relaxed);
-  }
 
   /// Visibility of slot `rid` at read epoch `at` (kLatestEpoch = the write
   /// path's view). Safe to call concurrently with writers on versioned
@@ -175,6 +157,11 @@ class Table : public ScanSource {
   /// pinned readers can probe them); unversioned tables index live rows.
   /// Returns error if an index with the same name exists.
   Status AddIndex(std::unique_ptr<Index> index);
+
+  /// AddIndex for a HashIndex (`ordered` false) or an OrderedIndex named
+  /// `index_name` over `key_columns` (CREATE INDEX, checkpoint load).
+  Status AddIndexSpec(const std::string& index_name,
+                      const std::vector<size_t>& key_columns, bool ordered);
 
   /// Index whose key columns exactly equal `key_columns` (order-insensitive);
   /// nullptr if none. Used by the planner for index-scan and index-join
@@ -270,17 +257,7 @@ class Table : public ScanSource {
   /// and exercised under TSan instead.
   mutable SharedMutex index_mu_;
   std::vector<std::unique_ptr<Index>> indexes_;
-
-  mutable std::atomic<uint64_t> morsels_{0};
-  mutable std::atomic<uint64_t> scan_batches_{0};
 };
-
-// Defined here, where Table is complete: the generic Scan walks shards in
-// order, dispatching statically to Table::Scan per shard.
-template <typename Fn>
-void ScanSource::Scan(Fn&& fn, Epoch at) const {
-  for (size_t s = 0; s < shard_count(); ++s) shard(s).Scan(fn, at);
-}
 
 }  // namespace dkb
 

@@ -38,7 +38,6 @@ QueryLogEntry FlightRecorder::MakeEntry(const QueryReport& report,
   entry.iterations = report.exec.iterations;
   entry.total_us = report.total_us;
   entry.batches = report.db_delta.batches;
-  entry.shards = report.plan.shards;
   entry.phases = report.Phases();
   for (const lfp::NodeStats& node : report.exec.nodes) {
     for (size_t i = 0; i < node.delta_sizes.size(); ++i) {

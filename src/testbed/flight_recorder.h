@@ -31,7 +31,6 @@ struct QueryLogEntry {
   int64_t iterations = 0;  // summed over all cliques
   int64_t total_us = 0;
   int64_t batches = 0;     // row batches drained at plan roots (DBMS delta)
-  int64_t shards = 1;      // catalog default shard count when the query ran
   /// Wire traffic attributed to this query, annotated after the fact by the
   /// network server (AnnotateBytes); both stay 0 for in-process queries.
   /// For a batched request the whole request/response frame is attributed

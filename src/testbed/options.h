@@ -25,12 +25,6 @@ struct TestbedOptions {
   int64_t slow_query_threshold_us = -1;
   /// Slow-query records as one-line JSON instead of key=value text.
   bool slow_query_log_json = false;
-  /// Shards per stored table (1 = plain Table, the classic layout). Applied
-  /// as the catalog's default shard count before any table is created, so
-  /// base tables and the LFP's `#` temporaries partition identically and
-  /// stay aligned for per-shard set operations. Snapshot loads restore each
-  /// table's own recorded layout regardless of this value.
-  size_t shards = 1;
 
   /// Durability directory. Empty (the default) keeps the classic in-memory
   /// testbed. When set, the directory holds the write-ahead log (dkb.wal)
@@ -70,10 +64,6 @@ struct TestbedOptions {
   TestbedOptions& WithSlowQueryThreshold(int64_t micros, bool json = false) {
     slow_query_threshold_us = micros;
     slow_query_log_json = json;
-    return *this;
-  }
-  TestbedOptions& WithShards(size_t n) {
-    shards = n == 0 ? 1 : n;
     return *this;
   }
   TestbedOptions& WithWalDir(std::string dir) {

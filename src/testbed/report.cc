@@ -116,7 +116,6 @@ std::string QueryReport::ToJson() const {
   out += ", \"magic_applied\": " + std::string(plan.magic_applied ? "true"
                                                                   : "false");
   out += ", \"parallelism\": " + std::to_string(plan.parallelism);
-  out += ", \"shards\": " + std::to_string(plan.shards);
   out += ", \"from_cache\": " + std::string(from_cache ? "true" : "false");
   out += ", \"executed\": " + std::string(executed ? "true" : "false");
   out += ", \"total_us\": " + std::to_string(total_us);

@@ -29,7 +29,6 @@ struct PlanSummary {
   std::string strategy;         // lfp::StrategyName of the evaluation mode
   bool magic_applied = false;   // the rewrite actually changed the rules
   int parallelism = 1;          // LFP wavefront knob as resolved at Query()
-  int64_t shards = 1;           // catalog default shard count at Query()
   int64_t rules_relevant = 0;
   int64_t rules_pruned = 0;
 

@@ -18,10 +18,6 @@ Status Session::Refresh() {
   // prepared statements from the old epoch all die with the old Database,
   // so nothing can leak a stale read epoch into the new one.
   auto db = std::make_unique<Database>();
-  // The default matters for the LFP `#` temporaries this session will
-  // create, which must shard identically to the base tables they are
-  // diffed against.
-  db->catalog().SetDefaultShards(options_.shards);
   db->catalog().SetBase(&testbed_->db_.catalog());
   db->catalog().SetReadEpoch(current);
   // O(metadata): rebuilds the dictionary caches by querying the small

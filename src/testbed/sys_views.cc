@@ -1,13 +1,11 @@
 #include "testbed/sys_views.h"
 
-#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <memory>
 #include <thread>
 #include <utility>
 
-#include "common/interner.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "testbed/flight_recorder.h"
@@ -47,7 +45,6 @@ Schema QueryLogSchema() {
       {"t_term_us", DataType::kInteger},
       {"t_final_us", DataType::kInteger},
       {"batches", DataType::kInteger},
-      {"shards", DataType::kInteger},
       {"bytes_sent", DataType::kInteger},
       {"bytes_received", DataType::kInteger},
       {"trace", DataType::kVarchar},
@@ -102,18 +99,6 @@ Schema ConnectionsSchema() {
 }
 
 Schema ServerSchema() { return MetricsSchema(); }
-
-Schema ShardsSchema() {
-  return Schema({
-      {"name", DataType::kVarchar},
-      {"kind", DataType::kVarchar},
-      {"shard", DataType::kInteger},
-      {"rows", DataType::kInteger},
-      {"bytes", DataType::kInteger},
-      {"morsels", DataType::kInteger},
-      {"scan_batches", DataType::kInteger},
-  });
-}
 
 Schema WalSchema() {
   return Schema({
@@ -177,7 +162,7 @@ Result<std::shared_ptr<const Table>> QueryLogProvider(Testbed* tb) {
         us("t_extract"), us("t_read"), us("t_analyze"), us("t_opt"),
         us("t_eol"), us("t_sem"), us("t_gen"), us("t_comp"), us("t_temp"),
         us("t_rhs"), us("t_term"), us("t_final"), IntVal(e.batches),
-        IntVal(e.shards), IntVal(e.bytes_sent), IntVal(e.bytes_received),
+        IntVal(e.bytes_sent), IntVal(e.bytes_received),
         Value(e.trace == nullptr ? std::string()
                                  : e.trace->RenderChromeTrace())});
   }
@@ -241,39 +226,6 @@ Result<std::shared_ptr<const Table>> ServerProvider(Testbed* tb) {
   return Materialize("sys.server", ServerSchema(), std::move(rows));
 }
 
-Result<std::shared_ptr<const Table>> ShardsProvider(Testbed* tb) {
-  // Approximate statistics, like sys.metrics: per-shard row counts and the
-  // morsel counters are read without the session-layer lock, so a row may
-  // reflect a write in progress. rows/bytes are 0 for interner segments
-  // (rows = distinct strings there; payload bytes live in the dictionary).
-  std::vector<Tuple> rows;
-  Catalog& catalog = tb->db().catalog();
-  std::vector<std::string> names = catalog.TableNames();
-  std::sort(names.begin(), names.end());
-  for (const std::string& name : names) {
-    auto source = catalog.GetSource(name);
-    if (!source.ok()) continue;  // dropped since TableNames()
-    const ScanSource& src = **source;
-    for (size_t s = 0; s < src.shard_count(); ++s) {
-      const Table& shard = src.shard(s);
-      rows.push_back(Tuple{
-          Value(src.name()), Value("table"), IntVal(static_cast<int64_t>(s)),
-          IntVal(static_cast<int64_t>(shard.num_tuples())),
-          IntVal(static_cast<int64_t>(shard.ApproxBytes())),
-          IntVal(static_cast<int64_t>(shard.morsels_dispatched())),
-          IntVal(static_cast<int64_t>(shard.scan_batches()))});
-    }
-  }
-  const auto segments = GlobalStringDict().SegmentSizes();
-  for (size_t i = 0; i < segments.size(); ++i) {
-    rows.push_back(Tuple{Value("<interner>"), Value("interner"),
-                         IntVal(static_cast<int64_t>(i)),
-                         IntVal(static_cast<int64_t>(segments[i])), IntVal(0),
-                         IntVal(0), IntVal(0)});
-  }
-  return Materialize("sys.shards", ShardsSchema(), std::move(rows));
-}
-
 Result<std::shared_ptr<const Table>> WalProvider(Testbed* tb) {
   // Always one row; a disabled WAL renders as enabled=0 with empty path so
   // `SELECT * FROM sys.wal` is a valid liveness probe either way.
@@ -318,7 +270,6 @@ Result<std::shared_ptr<const Table>> SettingsProvider(Testbed* tb) {
        opts.stored.index_edb_first_column ? "on" : "off"},
       {"compiled_rule_storage",
        opts.stored.compiled_rule_storage ? "on" : "off"},
-      {"default_shards", std::to_string(opts.shards)},
       {"wal_dir", opts.wal_dir},
       {"wal_fsync", opts.wal_fsync ? "on" : "off"},
       {"wal_group_commit", opts.wal_group_commit ? "on" : "off"},
@@ -352,8 +303,6 @@ const std::vector<SystemViewDef>& SystemViewDefs() {
            "live snapshot of the global metrics registry"},
           {"sys.sessions", SessionsSchema(),
            "open concurrent sessions and snapshot staleness"},
-          {"sys.shards", ShardsSchema(),
-           "per-shard row/byte/morsel statistics and interner segments"},
           {"sys.connections", ConnectionsSchema(),
            "live network connections (empty unless a dkb_server is "
            "attached)"},
@@ -384,9 +333,6 @@ Status RegisterSystemViews(Database* db, Testbed* testbed) {
   DKB_RETURN_IF_ERROR(catalog.RegisterVirtualTable(
       "sys.sessions", SessionsSchema(),
       [testbed]() { return SessionsProvider(testbed); }));
-  DKB_RETURN_IF_ERROR(catalog.RegisterVirtualTable(
-      "sys.shards", ShardsSchema(),
-      [testbed]() { return ShardsProvider(testbed); }));
   DKB_RETURN_IF_ERROR(catalog.RegisterVirtualTable(
       "sys.connections", ConnectionsSchema(),
       [testbed]() { return ConnectionsProvider(testbed); }));

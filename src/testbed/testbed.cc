@@ -105,9 +105,6 @@ Testbed::Testbed(TestbedOptions options)
     : options_(options),
       stored_(std::make_unique<km::StoredDkb>(&db_, options.stored)),
       recorder_(options.flight_recorder_capacity) {
-  // Before any table exists: base tables and LFP temporaries created later
-  // all inherit this count, keeping every stored source aligned.
-  db_.catalog().SetDefaultShards(options.shards);
   // MVCC: every stored table the catalog creates stamps row visibility from
   // the testbed's epoch counter ('#' temporaries stay unversioned).
   db_.catalog().EnableVersioning(&epochs_);
@@ -272,11 +269,9 @@ Status Testbed::ApplyWalRecord(WalRecordKind kind, std::string_view payload) {
 Result<CheckpointInfo> Testbed::LoadCheckpointInternal(
     const std::string& path) {
   std::vector<std::string> rules;
-  TableFactory factory = [this](const std::string& name, const Schema& schema,
-                                size_t shard_count,
-                                size_t /*partition_column*/)
-      -> Result<ScanSource*> {
-    return db_.catalog().CreateTable(name, Schema(schema), shard_count);
+  TableFactory factory = [this](const std::string& name,
+                                const Schema& schema) -> Result<Table*> {
+    return db_.catalog().CreateTable(name, Schema(schema));
   };
   DKB_ASSIGN_OR_RETURN(CheckpointInfo info,
                        ReadCheckpoint(path, factory, &rules));
@@ -290,16 +285,15 @@ Result<CheckpointInfo> Testbed::LoadCheckpointInternal(
 
 Status Testbed::WriteCheckpointTo(const std::string& path) {
   // Name-sorted order keeps images of identical states byte-identical.
-  std::vector<std::shared_ptr<ScanSource>> held =
-      db_.catalog().SnapshotTables();
+  std::vector<std::shared_ptr<Table>> held = db_.catalog().SnapshotTables();
   std::sort(held.begin(), held.end(),
-            [](const std::shared_ptr<ScanSource>& a,
-               const std::shared_ptr<ScanSource>& b) {
+            [](const std::shared_ptr<Table>& a,
+               const std::shared_ptr<Table>& b) {
               return a->name() < b->name();
             });
-  std::vector<const ScanSource*> tables;
+  std::vector<const Table*> tables;
   tables.reserve(held.size());
-  for (const std::shared_ptr<ScanSource>& t : held) tables.push_back(t.get());
+  for (const std::shared_ptr<Table>& t : held) tables.push_back(t.get());
   std::vector<std::string> rules;
   rules.reserve(workspace_.rules().size());
   for (const datalog::Rule& rule : workspace_.rules()) {
@@ -421,11 +415,8 @@ void Testbed::VacuumPass() {
   }
   if (min_pinned == 0) return;
   int64_t reclaimed = 0;
-  for (const std::shared_ptr<ScanSource>& table :
-       db_.catalog().SnapshotTables()) {
-    for (size_t s = 0; s < table->shard_count(); ++s) {
-      reclaimed += static_cast<int64_t>(table->shard(s).Vacuum(min_pinned));
-    }
+  for (const std::shared_ptr<Table>& table : db_.catalog().SnapshotTables()) {
+    reclaimed += static_cast<int64_t>(table->Vacuum(min_pinned));
   }
   if (reclaimed > 0) {
     vacuumed_rows_.fetch_add(reclaimed, std::memory_order_relaxed);
@@ -699,7 +690,6 @@ Result<QueryOutcome> Testbed::QueryImpl(Database* db,
   report.plan.strategy = lfp::StrategyName(options.strategy);
   report.plan.magic_applied = report.compile.magic_applied;
   report.plan.parallelism = options.EffectivePolicy().lfp_parallelism;
-  report.plan.shards = static_cast<int64_t>(db->catalog().default_shards());
   report.plan.rules_relevant = report.compile.rules_relevant;
   report.plan.rules_pruned = report.compile.rules_pruned;
   for (const km::ProgramNode& node : outcome.compiled.program.nodes) {

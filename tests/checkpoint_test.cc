@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "storage/codec.h"
 #include "testbed/testbed.h"
 #include "workload/data_gen.h"
 #include "workload/queries.h"
@@ -34,8 +35,8 @@ std::set<std::string> AnswerSet(const QueryResult& result) {
 
 /// Builds a testbed holding rules, bulk-loaded facts, and committed stored
 /// rules — every kind of state a checkpoint must carry.
-std::unique_ptr<Testbed> MakePopulatedTestbed(size_t shards) {
-  auto tb = Testbed::Create(TestbedOptions{}.WithShards(shards));
+std::unique_ptr<Testbed> MakePopulatedTestbed() {
+  auto tb = Testbed::Create();
   EXPECT_TRUE(tb.ok()) << tb.status().ToString();
   workload::EdgeSet edges = workload::MakeFullBinaryTrees(1, 5);
   Status s = (*tb)->Consult(workload::AncestorRules());
@@ -49,22 +50,17 @@ std::unique_ptr<Testbed> MakePopulatedTestbed(size_t shards) {
   return std::move(*tb);
 }
 
-class CheckpointRoundTrip : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(CheckpointRoundTrip, SaveLoadPreservesAnswers) {
-  const size_t shards = GetParam();
-  auto tb = MakePopulatedTestbed(shards);
+TEST(CheckpointRoundTrip, SaveLoadPreservesAnswers) {
+  auto tb = MakePopulatedTestbed();
   const std::string root = workload::TreeNodeName(0, 0);
   auto before = tb->Query("ancestor('" + root + "', W)");
   ASSERT_TRUE(before.ok()) << before.status().ToString();
   ASSERT_EQ(before->result.rows.size(), 30u);  // depth-5 tree minus the root
 
-  std::string path =
-      TempPath("ckpt_rt_" + std::to_string(shards) + ".ckpt");
+  std::string path = TempPath("ckpt_rt.ckpt");
   ASSERT_TRUE(tb->SaveSession(path).ok());
 
-  auto loaded =
-      Testbed::LoadSession(path, TestbedOptions{}.WithShards(shards));
+  auto loaded = Testbed::LoadSession(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   auto after = (*loaded)->Query("ancestor('" + root + "', W)");
   ASSERT_TRUE(after.ok()) << after.status().ToString();
@@ -83,12 +79,9 @@ TEST_P(CheckpointRoundTrip, SaveLoadPreservesAnswers) {
   EXPECT_EQ(grown->result.rows.size(), 31u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Shards, CheckpointRoundTrip,
-                         ::testing::Values(1, 2, 8));
-
 TEST(CheckpointTest, ImagesOfIdenticalStatesAreByteIdentical) {
-  auto a = MakePopulatedTestbed(2);
-  auto b = MakePopulatedTestbed(2);
+  auto a = MakePopulatedTestbed();
+  auto b = MakePopulatedTestbed();
   std::string pa = TempPath("ckpt_ident_a.ckpt");
   std::string pb = TempPath("ckpt_ident_b.ckpt");
   ASSERT_TRUE(a->SaveSession(pa).ok());
@@ -103,7 +96,7 @@ TEST(CheckpointTest, ImagesOfIdenticalStatesAreByteIdentical) {
 }
 
 TEST(CheckpointTest, PeekReadsHeaderWithoutLoading) {
-  auto tb = MakePopulatedTestbed(1);
+  auto tb = MakePopulatedTestbed();
   std::string path = TempPath("ckpt_peek.ckpt");
   ASSERT_TRUE(tb->SaveSession(path).ok());
   auto info = PeekCheckpoint(path);
@@ -113,7 +106,7 @@ TEST(CheckpointTest, PeekReadsHeaderWithoutLoading) {
 }
 
 TEST(CheckpointTest, LoadIntoNonEmptyTestbedIsFailedPrecondition) {
-  auto source = MakePopulatedTestbed(1);
+  auto source = MakePopulatedTestbed();
   std::string path = TempPath("ckpt_nonempty.ckpt");
   ASSERT_TRUE(source->SaveSession(path).ok());
 
@@ -142,7 +135,7 @@ TEST(CheckpointTest, CheckpointWithoutWalDirIsFailedPrecondition) {
 }
 
 TEST(CheckpointTest, CorruptFileIsRejected) {
-  auto tb = MakePopulatedTestbed(1);
+  auto tb = MakePopulatedTestbed();
   std::string path = TempPath("ckpt_corrupt.ckpt");
   ASSERT_TRUE(tb->SaveSession(path).ok());
   {
@@ -153,6 +146,128 @@ TEST(CheckpointTest, CorruptFileIsRejected) {
   }
   auto info = PeekCheckpoint(path);
   EXPECT_FALSE(info.ok());
+}
+
+/// Writes `magic`, `payload` and the payload's CRC-32 to a temp file: the
+/// framing WriteCheckpoint produces, around payloads it never would.
+std::string WriteFramedFile(const std::string& name, const std::string& magic,
+                            const std::string& payload) {
+  std::string path = TempPath(name);
+  codec::Writer trailer;
+  trailer.U32(codec::Crc32(payload));
+  std::ofstream f(path, std::ios::binary);
+  f << magic << payload << trailer.str();
+  return path;
+}
+
+/// DKBCKPT2 payload: empty header sections, then one table `t(a INT, b INT)`
+/// with one hash index keyed on column `key_column`, its declared row count
+/// `nrows`, and `cells` as the column-major cell stream.
+std::string OneTablePayload(uint16_t key_column, uint64_t nrows,
+                            const std::string& cells) {
+  codec::Writer w;
+  w.U64(0);  // last_lsn
+  w.U64(1);  // epoch
+  w.U32(0);  // rules
+  w.U32(0);  // dictionary strings
+  w.U32(1);  // tables
+  w.Str("t");
+  w.Cols(Schema({{"a", DataType::kInteger}, {"b", DataType::kInteger}}));
+  w.U16(1);  // indexes
+  w.Str("t_ix");
+  w.U8(0);  // hash
+  w.U16(1);
+  w.U16(key_column);
+  w.U64(nrows);
+  return w.Take() + cells;
+}
+
+/// Two integer cells per row, column-major: a = 1..n, then b = 10..10n.
+std::string IntCells(int n) {
+  codec::Writer w;
+  for (int col = 1; col <= 10; col += 9) {
+    for (int i = 1; i <= n; ++i) {
+      w.U8(1);
+      w.I64(col * i);
+    }
+  }
+  return w.Take();
+}
+
+/// Loads `path` into fresh tables owned by `tables`.
+Result<CheckpointInfo> LoadInto(const std::string& path,
+                                std::vector<std::unique_ptr<Table>>* tables) {
+  TableFactory factory = [tables](const std::string& name,
+                                  const Schema& schema) -> Result<Table*> {
+    tables->push_back(std::make_unique<Table>(name, schema));
+    return tables->back().get();
+  };
+  return ReadCheckpoint(path, factory, nullptr);
+}
+
+TEST(CheckpointTest, HandBuiltFileLoads) {
+  // The builders below are faithful: the well-formed variant loads.
+  std::string path = WriteFramedFile("ckpt_hand.ckpt", "DKBCKPT2",
+                                     OneTablePayload(1, 2, IntCells(2)));
+  std::vector<std::unique_ptr<Table>> tables;
+  auto info = LoadInto(path, &tables);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  ASSERT_EQ(tables.size(), 1u);
+  EXPECT_EQ(tables[0]->num_tuples(), 2u);
+  const Index* index = tables[0]->FindIndexOn({1});
+  ASSERT_NE(index, nullptr);
+  std::vector<RowId> hits;
+  tables[0]->ProbeIndex(index, Tuple{Value(int64_t{20})}, &hits);
+  EXPECT_EQ(hits.size(), 1u);
+}
+
+TEST(CheckpointTest, RowCountBeyondThePayloadIsRejected) {
+  // CRC-valid, but claims 2^40 rows backed by two: the reader must refuse
+  // before sizing any column buffer from the count.
+  std::string path =
+      WriteFramedFile("ckpt_huge_rows.ckpt", "DKBCKPT2",
+                      OneTablePayload(0, uint64_t{1} << 40, IntCells(2)));
+  std::vector<std::unique_ptr<Table>> tables;
+  auto info = LoadInto(path, &tables);
+  EXPECT_FALSE(info.ok());
+  EXPECT_EQ(info.status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_TRUE(tables.empty());
+}
+
+TEST(CheckpointTest, IndexKeyColumnOutsideTheSchemaIsRejected) {
+  // Column 2 of a two-column schema: loading must not build the index,
+  // whose key extraction would read past each row.
+  std::string path = WriteFramedFile("ckpt_bad_key.ckpt", "DKBCKPT2",
+                                     OneTablePayload(2, 2, IntCells(2)));
+  std::vector<std::unique_ptr<Table>> tables;
+  auto info = LoadInto(path, &tables);
+  EXPECT_FALSE(info.ok());
+  EXPECT_EQ(info.status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(info.status().message().find("column 2"), std::string::npos)
+      << info.status().ToString();
+}
+
+TEST(CheckpointTest, VersionOneFileIsRejected) {
+  // A DKBCKPT1 image with the old per-table shard count at its maximum:
+  // the version check refuses it before any table is created.
+  codec::Writer w;
+  w.U64(0);
+  w.U64(1);
+  w.U32(0);
+  w.U32(0);
+  w.U32(1);
+  w.Str("t");
+  w.U32(0xFFFFFFFFu);  // shard_count
+  w.U32(0);            // partition_column
+  w.Cols(Schema({{"a", DataType::kInteger}}));
+  w.U16(0);
+  std::string path = WriteFramedFile("ckpt_v1.ckpt", "DKBCKPT1", w.Take());
+  std::vector<std::unique_ptr<Table>> tables;
+  auto info = LoadInto(path, &tables);
+  EXPECT_FALSE(info.ok());
+  EXPECT_EQ(info.status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_TRUE(tables.empty());
+  EXPECT_FALSE(PeekCheckpoint(path).ok());
 }
 
 }  // namespace

@@ -19,7 +19,7 @@ class ExecPlanTest : public ::testing::Test {
     Schema schema({{"k", DataType::kInteger}, {"v", DataType::kVarchar}});
     auto created = catalog_.CreateTable("t", schema);
     ASSERT_TRUE(created.ok());
-    table_ = &(*created)->shard(0);
+    table_ = *created;
     for (int64_t i = 0; i < 10; ++i) {
       table_->InsertUnchecked(
           {Value(i), Value(std::string(1, static_cast<char>('a' + i % 3)))});

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/parallelism.h"
+#include "common/thread_pool.h"
+#include "lfp/eval_context.h"
+#include "storage/codec.h"
 #include "testbed/testbed.h"
 #include "workload/data_gen.h"
 #include "workload/queries.h"
@@ -119,6 +125,146 @@ TEST(ParallelLfpTest, SameGenerationParallel) {
   ExpectParallelMatchesSerial(tb->get(), "sg(a, W)",
                               QueryOptions::SemiNaive());
   ExpectParallelMatchesSerial(tb->get(), "sg(a, W)", QueryOptions::Magic());
+}
+
+// ---------------------------------------------------------------------------
+// Partitioned semi-naive diff: the same answers, order and deltas as serial
+// ---------------------------------------------------------------------------
+
+/// Sizes the global pool before its first use (each gtest case runs in its
+/// own process under ctest) and reports whether it has workers, without
+/// which every diff is the serial one.
+bool PoolHasWorkers() {
+  setenv("DKB_THREADS", "3", 0);  // NOLINT(concurrency-mt-unsafe)
+  return GlobalThreadPool().num_threads() > 0;
+}
+
+/// Runs `body` with hash_build_min_rows = 1, so every semi-naive diff (and
+/// hash-join build) takes the partitioned path, restoring the policy after.
+template <typename Fn>
+void WithPartitionedDiffs(Fn&& body) {
+  ParallelismPolicy& policy = GlobalParallelismPolicy();
+  const ParallelismPolicy saved = policy;
+  policy.hash_build_min_rows = 1;
+  body();
+  policy = saved;
+}
+
+TEST(PartitionedDiffTest, SurvivorsKeepNewScanOrder) {
+  if (!PoolHasWorkers()) GTEST_SKIP() << "global pool has no workers";
+  Database db;
+  for (const char* name : {"full_t", "new_t", "diff_t"}) {
+    ASSERT_TRUE(db.Execute(std::string("CREATE TABLE ") + name +
+                           " (a INT, b VARCHAR)")
+                    .ok());
+  }
+  // new_t repeats rows, and half of its distinct rows are already in full_t.
+  ASSERT_TRUE(db.Execute("INSERT INTO full_t VALUES (0, 'x'), (2, 'x'), "
+                         "(4, 'x'), (6, 'x')")
+                  .ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO new_t VALUES (7, 'x'), (2, 'x'), "
+                         "(5, 'x'), (7, 'x'), (1, 'x'), (4, 'x'), (5, 'x'), "
+                         "(3, 'x'), (1, 'x')")
+                  .ok());
+  auto diff_rows = [&db]() {
+    lfp::ExecutionStats stats;
+    lfp::EvalContext ctx(&db, &stats);
+    EXPECT_TRUE(ctx.ClearTable("diff_t").ok());
+    auto appended = ctx.DiffInto("diff_t", "new_t", "full_t");
+    EXPECT_TRUE(appended.ok()) << appended.status().ToString();
+    EXPECT_EQ(appended.ok() ? *appended : -1, 4);
+    auto rows = db.Execute("SELECT a FROM diff_t");
+    EXPECT_TRUE(rows.ok());
+    std::vector<int64_t> out;
+    for (const Tuple& row : rows->rows) out.push_back(row[0].as_int());
+    return out;
+  };
+  const std::vector<int64_t> expected = {7, 5, 1, 3};
+  EXPECT_EQ(diff_rows(), expected);
+  WithPartitionedDiffs([&]() { EXPECT_EQ(diff_rows(), expected); });
+}
+
+/// A layered DAG with skip edges: every node reaches the next layer along
+/// two paths and the layer after it directly, so semi-naive `new` batches
+/// hold rows `full` already has. (The INSERT-new statements that fill
+/// `new` dedup within it; SurvivorsKeepNewScanOrder covers duplicates.)
+std::string DiamondProgram() {
+  std::string text =
+      "anc(X, Y) :- par(X, Y).\n"
+      "anc(X, Y) :- par(X, Z), anc(Z, Y).\n";
+  const int kLayers = 8;
+  const int kWidth = 4;
+  auto edge = [&text](int from_layer, int from, int to_layer, int to) {
+    text += "par(n" + std::to_string(from_layer) + "_" +
+            std::to_string(from) + ", n" + std::to_string(to_layer) + "_" +
+            std::to_string(to) + ").\n";
+  };
+  for (int l = 0; l + 1 < kLayers; ++l) {
+    for (int i = 0; i < kWidth; ++i) {
+      edge(l, i, l + 1, i);
+      edge(l, i, l + 1, (i + 1) % kWidth);
+      if (l + 2 < kLayers) edge(l, i, l + 2, i);
+    }
+  }
+  return text;
+}
+
+/// Answer rows in the order the query returned them, as wire bytes, plus
+/// every node's per-iteration delta sizes.
+struct RunRecord {
+  std::string rows;
+  std::vector<std::vector<int64_t>> deltas;
+};
+
+RunRecord Record(Testbed* tb, const std::string& goal,
+                 const QueryOptions& options) {
+  RunRecord record;
+  auto outcome = tb->Query(goal, options);
+  EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
+  if (!outcome.ok()) return record;
+  codec::Writer w;
+  for (const Tuple& row : outcome->result.rows) w.Row(row);
+  record.rows = w.Take();
+  for (const auto& node : outcome->report.exec.nodes) {
+    record.deltas.push_back(node.delta_sizes);
+  }
+  return record;
+}
+
+TEST(PartitionedDiffTest, StrategyMatrixIsByteIdenticalToSerialDiff) {
+  if (!PoolHasWorkers()) GTEST_SKIP() << "global pool has no workers";
+  const std::vector<std::pair<std::string, QueryOptions>> matrix = {
+      {"naive", QueryOptions::Naive()},
+      {"seminaive", QueryOptions::SemiNaive()},
+      {"magic", QueryOptions::Magic()},
+      {"supplementary", QueryOptions::SupplementaryMagic()},
+      {"adaptive", QueryOptions::Adaptive()},
+      {"parallel", QueryOptions::SemiNaive().WithParallelism(4)},
+  };
+  auto diamond = Testbed::Create();
+  ASSERT_TRUE(diamond.ok()) << diamond.status().ToString();
+  ASSERT_TRUE((*diamond)->Consult(DiamondProgram()).ok());
+  auto tree = MakeTreeTestbed(/*depth=*/7);
+  const std::string root =
+      "ancestor('" + workload::TreeNodeName(0, 0) + "', W)";
+  const std::vector<std::pair<Testbed*, std::string>> goals = {
+      {diamond->get(), "anc(n0_0, W)"},
+      {diamond->get(), "anc(X, Y)"},
+      {tree.get(), root},
+      {tree.get(), "ancestor(X, Y)"},
+  };
+  for (const auto& [label, options] : matrix) {
+    for (const auto& [tb, goal] : goals) {
+      SCOPED_TRACE(label + " / " + goal);
+      const RunRecord serial = Record(tb, goal, options);
+      RunRecord partitioned;
+      WithPartitionedDiffs(
+          [&]() { partitioned = Record(tb, goal, options); });
+      EXPECT_FALSE(serial.rows.empty());
+      EXPECT_EQ(serial.rows, partitioned.rows);
+      EXPECT_EQ(serial.deltas, partitioned.deltas);
+    }
+  }
 }
 
 TEST(ParallelLfpTest, ParallelismKnobDefaultsSerial) {

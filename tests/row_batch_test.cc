@@ -261,7 +261,7 @@ TEST(ParallelBatchTest, MorselScanMatchesSerialOrder) {
   auto created =
       catalog.CreateTable("big", Schema({{"k", DataType::kInteger}}));
   ASSERT_TRUE(created.ok());
-  Table* table = &(*created)->shard(0);
+  Table* table = *created;
   const int64_t n = 20000;
   for (int64_t i = 0; i < n; ++i) table->InsertUnchecked({Value(i)});
 

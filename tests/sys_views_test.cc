@@ -53,14 +53,12 @@ TEST(SysViewsTest, SchemasMatchTheGolden) {
         "t_setup_us", "t_extract_us", "t_read_us", "t_analyze_us",
         "t_opt_us", "t_eol_us", "t_sem_us", "t_gen_us", "t_comp_us",
         "t_temp_us", "t_rhs_us", "t_term_us", "t_final_us", "batches",
-        "shards", "bytes_sent", "bytes_received", "trace"}},
+        "bytes_sent", "bytes_received", "trace"}},
       {"sys.lfp_iterations",
        {"query_id", "node", "is_clique", "iter", "delta_rows"}},
       {"sys.metrics", {"name", "kind", "value", "sum", "max", "p50", "p99"}},
       {"sys.sessions",
        {"session_id", "epoch", "testbed_epoch", "snapshot_age", "queries"}},
-      {"sys.shards",
-       {"name", "kind", "shard", "rows", "bytes", "morsels", "scan_batches"}},
       {"sys.connections",
        {"connection_id", "peer", "session_id", "frames_received", "bytes_in",
         "bytes_out", "queries", "requests", "errors", "age_us"}},

@@ -43,12 +43,10 @@ void RaiseFdLimit(rlim_t want) {
 int Usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s [-p|--port PORT] [--host ADDR] [--shards N]\n"
-      "          [--wal-dir DIR] [--no-wal-fsync] [--no-group-commit]\n"
-      "          [--slow-request-us N]\n"
+      "usage: %s [-p|--port PORT] [--host ADDR] [--wal-dir DIR]\n"
+      "          [--no-wal-fsync] [--no-group-commit] [--slow-request-us N]\n"
       "  -p, --port PORT         listen port (default 7070)\n"
       "      --host ADDR         bind address (default 127.0.0.1)\n"
-      "      --shards N          shards per stored table (default 1)\n"
       "      --wal-dir DIR       durable state directory; recovers the\n"
       "                          checkpoint + WAL found there on startup\n"
       "      --no-wal-fsync      ack writes before fsync (faster, unsafe)\n"
@@ -64,7 +62,6 @@ int Usage(const char* argv0) {
 int main(int argc, char** argv) {
   dkb::net::ServerOptions options;
   options.port = 7070;
-  size_t shards = 1;
   std::string wal_dir;
   bool wal_fsync = true;
   bool group_commit = true;
@@ -74,8 +71,6 @@ int main(int argc, char** argv) {
       options.port = static_cast<uint16_t>(std::atoi(argv[++i]));
     } else if (arg == "--host" && i + 1 < argc) {
       options.bind_address = argv[++i];
-    } else if (arg == "--shards" && i + 1 < argc) {
-      shards = static_cast<size_t>(std::atoi(argv[++i]));
     } else if (arg == "--wal-dir" && i + 1 < argc) {
       wal_dir = argv[++i];
     } else if (arg == "--no-wal-fsync") {
@@ -91,11 +86,11 @@ int main(int argc, char** argv) {
 
   RaiseFdLimit(8192);
 
-  auto testbed = dkb::testbed::Testbed::Create(dkb::testbed::TestbedOptions{}
-                                                   .WithShards(shards)
-                                                   .WithWalDir(wal_dir)
-                                                   .WithWalFsync(wal_fsync)
-                                                   .WithWalGroupCommit(group_commit));
+  auto testbed = dkb::testbed::Testbed::Create(
+      dkb::testbed::TestbedOptions{}
+          .WithWalDir(wal_dir)
+          .WithWalFsync(wal_fsync)
+          .WithWalGroupCommit(group_commit));
   if (!testbed.ok()) {
     std::fprintf(stderr, "testbed init failed: %s\n",
                  testbed.status().ToString().c_str());
