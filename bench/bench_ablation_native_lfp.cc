@@ -13,11 +13,11 @@ void Run() {
          "the native LFP operator eliminates table-copy and set-difference "
          "overheads; the gap widens with relation size");
 
-  const int kReps = 3;
+  const int kReps = Reps(3, 1);
   TablePrinter table({"tree_depth", "parent_tuples", "t_seminaive_sql",
                       "t_native_lfp", "t_native_tc", "native_speedup",
                       "tc_speedup", "sql_temp_share"});
-  for (int depth : {7, 8, 9, 10, 11}) {
+  for (int depth : Sweep({7, 8, 9, 10, 11})) {
     auto tb = MakeAncestorTree(depth);
     datalog::Atom goal = TreeAncestorGoal(0);
 
@@ -45,12 +45,10 @@ void Run() {
         static_cast<double>(sql_stats.t_temp_us) /
         std::max<int64_t>(1, sql_stats.t_temp_us + sql_stats.t_rhs_us +
                                  sql_stats.t_term_us);
-    table.AddRow({std::to_string(depth),
-                  std::to_string((1 << depth) - 2), FormatUs(t_sql),
-                  FormatUs(t_native), FormatUs(t_tc),
-                  FormatF(static_cast<double>(t_sql) / t_native, 2),
-                  FormatF(static_cast<double>(t_sql) / t_tc, 2),
-                  FormatPct(temp_share)});
+    table.AddRow({Count(depth), Count((1 << depth) - 2), Us(t_sql),
+                  Us(t_native), Us(t_tc),
+                  Ratio(static_cast<double>(t_sql) / t_native),
+                  Ratio(static_cast<double>(t_sql) / t_tc), Pct(temp_share)});
   }
   table.Print();
 }
@@ -58,7 +56,8 @@ void Run() {
 }  // namespace
 }  // namespace dkb::bench
 
-int main() {
+int main(int argc, char** argv) {
+  dkb::bench::ParseBenchArgs(argc, argv);
   dkb::bench::Run();
   return 0;
 }

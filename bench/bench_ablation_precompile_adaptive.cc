@@ -19,8 +19,8 @@ void RunPrecompile() {
 
   TablePrinter table({"R_rs", "t_first_total", "t_cached_total",
                       "compile_saved", "speedup"});
-  for (int rrs : {1, 7, 20, 40}) {
-    StoredRuleBaseFixture fx = MakeStoredRuleBase(200, rrs);
+  for (int rrs : Sweep({1, 7, 20, 40})) {
+    StoredRuleBaseFixture fx = MakeStoredRuleBase(SmokeSize(200, 100), rrs);
     datalog::Atom goal;
     goal.predicate = fx.rulebase.query_pred;
     goal.args = {datalog::Term::Constant(Value("k")),
@@ -29,15 +29,14 @@ void RunPrecompile() {
         testbed::QueryOptions::SemiNaive().WithCache();
     auto first = Unwrap(fx.tb->Query(goal, opts), "first query");
     int64_t t_first = first.report.compile.total_us() + first.report.exec.t_total_us;
-    int64_t t_cached = MedianMicros(9, [&]() {
+    int64_t t_cached = MedianMicros(Reps(9), [&]() {
       auto outcome = Unwrap(fx.tb->Query(goal, opts), "cached query");
       return outcome.report.compile.total_us() + outcome.report.exec.t_total_us;
     });
-    table.AddRow({std::to_string(rrs), FormatUs(t_first),
-                  FormatUs(t_cached), FormatUs(first.report.compile.total_us()),
-                  FormatF(static_cast<double>(t_first) /
-                              std::max<int64_t>(1, t_cached),
-                          2)});
+    table.AddRow({Count(rrs), Us(t_first), Us(t_cached),
+                  Us(first.report.compile.total_us()),
+                  Ratio(static_cast<double>(t_first) /
+                        std::max<int64_t>(1, t_cached))});
   }
   table.Print();
 }
@@ -48,8 +47,8 @@ void RunAdaptive() {
          "the adaptive policy should track the better static policy on both "
          "sides of the selectivity crossover");
 
-  const int kDepth = 10;
-  const int kReps = 3;
+  const int kDepth = SmokeSize(10, 6);
+  const int kReps = Reps(3, 1);
   // Unindexed EDB: the configuration where always-on magic actually loses
   // at high selectivity (see bench_fig13).
   auto tb = MakeAncestorTree(kDepth, /*index_edb=*/false);
@@ -57,7 +56,7 @@ void RunAdaptive() {
 
   TablePrinter table({"level", "selectivity", "t_off", "t_on", "t_adaptive",
                       "adaptive_chose_magic"});
-  for (int level : {0, 1, 2, 4, 6, 8}) {
+  for (int level : Sweep({0, 1, 2, 4, 6, 8})) {
     datalog::Atom goal = TreeAncestorGoal(LeftmostAtLevel(level));
     auto timed = [&](bool magic, bool adaptive, bool* chose) {
       testbed::QueryOptions opts =
@@ -76,9 +75,8 @@ void RunAdaptive() {
     int64_t t_on = timed(true, false, nullptr);
     int64_t t_adaptive = timed(false, true, &chose);
     double sel = workload::SubtreeSize(kDepth, level) / dtot;
-    table.AddRow({std::to_string(level), FormatPct(sel), FormatUs(t_off),
-                  FormatUs(t_on), FormatUs(t_adaptive),
-                  chose ? "yes" : "no"});
+    table.AddRow({Count(level), Pct(sel), Us(t_off), Us(t_on),
+                  Us(t_adaptive), Label(chose ? "yes" : "no")});
   }
   table.Print();
 }
@@ -86,7 +84,8 @@ void RunAdaptive() {
 }  // namespace
 }  // namespace dkb::bench
 
-int main() {
+int main(int argc, char** argv) {
+  dkb::bench::ParseBenchArgs(argc, argv);
   dkb::bench::RunPrecompile();
   dkb::bench::RunAdaptive();
   return 0;

@@ -38,10 +38,10 @@ void Run() {
          "costs when per-statement overhead dominates (this in-memory "
          "engine) - the ratio should improve with depth either way");
 
-  const int kReps = 3;
+  const int kReps = Reps(3, 1);
   TablePrinter table({"tree_depth", "answers", "t_plain", "t_magic",
                       "t_supplementary", "sup_vs_magic"});
-  for (int depth : {5, 6, 7, 8}) {
+  for (int depth : Sweep({5, 6, 7, 8})) {
     auto tb = SgTestbed(depth);
     // Same-generation peers of the leftmost leaf.
     std::string leaf = workload::TreeNodeName(0, (1 << (depth - 1)) - 1);
@@ -62,9 +62,9 @@ void Run() {
     int64_t t_plain = timed(false, false, &answers);
     int64_t t_magic = timed(true, false, nullptr);
     int64_t t_sup = timed(true, true, nullptr);
-    table.AddRow({std::to_string(depth), std::to_string(answers),
-                  FormatUs(t_plain), FormatUs(t_magic), FormatUs(t_sup),
-                  FormatF(static_cast<double>(t_magic) / t_sup, 2)});
+    table.AddRow({Count(depth), Count(static_cast<int64_t>(answers)),
+                  Us(t_plain), Us(t_magic), Us(t_sup),
+                  Ratio(static_cast<double>(t_magic) / t_sup)});
   }
   table.Print();
 }
@@ -72,7 +72,8 @@ void Run() {
 }  // namespace
 }  // namespace dkb::bench
 
-int main() {
+int main(int argc, char** argv) {
+  dkb::bench::ParseBenchArgs(argc, argv);
   dkb::bench::Run();
   return 0;
 }

@@ -1,7 +1,6 @@
 // Concurrent query throughput through the Session API, plus single-query
 // parallel-LFP speedup. Not a paper figure: the 1988 testbed was
 // single-user; this bench characterizes the concurrency extension.
-// Emits BENCH_parallel.json next to the textual report.
 
 #include <atomic>
 #include <cstdio>
@@ -21,11 +20,7 @@ constexpr int kTreeDepth = 7;
 constexpr int kCliques = 4;
 constexpr int kChainLength = 24;
 
-/// --smoke: tiny rep counts, then validate that the emitted JSON parses
-/// (CI runs this mode; plotting scripts consume the real runs).
-bool g_smoke = false;
-
-int RepsPerThread() { return g_smoke ? 2 : 10; }
+int RepsPerThread() { return Reps(10); }
 
 /// Queries per second with `threads` sessions querying concurrently.
 double MeasureQps(testbed::Testbed* tb, const datalog::Atom& goal,
@@ -93,15 +88,16 @@ void Run() {
   auto tb = MakeAncestorTree(kTreeDepth);
   datalog::Atom goal = TreeAncestorGoal(0);
 
+  BenchOutput().Add("workload", "ancestor tree depth " +
+                                    std::to_string(kTreeDepth) +
+                                    ", bound root");
+  BenchOutput().Add("reps_per_thread", static_cast<int64_t>(RepsPerThread()));
   TablePrinter table({"threads", "qps", "speedup_vs_1"});
-  std::vector<std::pair<int, double>> qps_rows;
   double qps1 = 0.0;
   for (int threads : {1, 2, 4, 8}) {
     double qps = MeasureQps(tb.get(), goal, threads);
     if (threads == 1) qps1 = qps;
-    qps_rows.emplace_back(threads, qps);
-    table.AddRow({std::to_string(threads), FormatF(qps, 1),
-                  FormatF(qps / qps1, 2)});
+    table.AddRow({Count(threads), Ratio(qps, 1), Ratio(qps / qps1)});
   }
   table.Print();
 
@@ -111,7 +107,7 @@ void Run() {
   auto serial_opts = testbed::QueryOptions::SemiNaive().WithParallelism(1);
   auto parallel_opts =
       testbed::QueryOptions::SemiNaive().WithParallelism(kCliques);
-  const int lfp_reps = g_smoke ? 1 : 3;
+  const int lfp_reps = Reps(3, 1);
   int64_t t_serial = MedianMicros(lfp_reps, [&]() {
     return Unwrap(multi->Query("all(X, Y)", serial_opts), "serial LFP")
         .report.exec.t_total_us;
@@ -122,52 +118,18 @@ void Run() {
   });
 
   TablePrinter lfp({"lfp_mode", "t_e", "speedup"});
-  lfp.AddRow({"serial", FormatUs(t_serial), "1.00"});
-  lfp.AddRow({"parallel(" + std::to_string(kCliques) + ")",
-              FormatUs(t_parallel),
-              FormatF(static_cast<double>(t_serial) / t_parallel, 2)});
+  lfp.AddRow({Label("serial"), Us(t_serial), Ratio(1.0)});
+  lfp.AddRow({Label("parallel(" + std::to_string(kCliques) + ")"),
+              Us(t_parallel),
+              Ratio(static_cast<double>(t_serial) / t_parallel)});
   lfp.Print();
-
-  BenchJson json("concurrency");
-  json.Add("workload",
-           "ancestor tree depth " + std::to_string(kTreeDepth) +
-               ", bound root");
-  json.Add("smoke", g_smoke);
-  json.Add("reps_per_thread", static_cast<int64_t>(RepsPerThread()));
-  std::string qps_json = "[";
-  for (size_t i = 0; i < qps_rows.size(); ++i) {
-    if (i > 0) qps_json += ", ";
-    qps_json += "{\"threads\": " + std::to_string(qps_rows[i].first) +
-                ", \"qps\": " + FormatF(qps_rows[i].second, 2) + "}";
-  }
-  qps_json += "]";
-  json.AddRaw("qps", qps_json);
-  json.AddRaw("lfp",
-              "{\"cliques\": " + std::to_string(kCliques) +
-                  ", \"serial_us\": " + std::to_string(t_serial) +
-                  ", \"parallel_us\": " + std::to_string(t_parallel) +
-                  ", \"speedup\": " +
-                  FormatF(static_cast<double>(t_serial) / t_parallel, 3) +
-                  "}");
-  CheckOk(json.WriteFile("BENCH_parallel.json"), "write BENCH_parallel.json");
-  std::printf("\n  wrote BENCH_parallel.json\n");
-
-  std::string error;
-  if (!JsonValidator::Validate(json.Render(), &error)) {
-    std::fprintf(stderr, "FATAL: BENCH_parallel.json does not parse: %s\n",
-                 error.c_str());
-    std::exit(1);
-  }
-  if (g_smoke) std::printf("  smoke: BENCH JSON validated\n");
 }
 
 }  // namespace
 }  // namespace dkb::bench
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") dkb::bench::g_smoke = true;
-  }
+  dkb::bench::ParseBenchArgs(argc, argv);
   dkb::bench::Run();
   return 0;
 }

@@ -10,7 +10,7 @@ namespace dkb::bench {
 namespace {
 
 struct DataCase {
-  const char* name;
+  std::string name;
   workload::EdgeSet edges;
   std::string root;
 };
@@ -21,14 +21,20 @@ void Run() {
          "t_e and iteration counts are shaped by path length and fan-out: "
          "lists iterate longest, trees/DAGs fan out, cycles still terminate");
 
+  const int list_length = SmokeSize(64, 16);
+  const int tree_depth = SmokeSize(9, 6);
+  const int levels = SmokeSize(16, 6);
+  const int kReps = Reps(3, 1);
   std::vector<DataCase> cases;
-  cases.push_back({"lists (8 x 64)", workload::MakeLists(8, 64), "l0_0"});
-  cases.push_back(
-      {"binary tree (depth 9)", workload::MakeFullBinaryTrees(1, 9), "t0_0"});
-  cases.push_back(
-      {"dag (16 levels x 32)", workload::MakeDag(16, 32, 1, 7), "g0_0"});
+  cases.push_back({"lists (8 x " + std::to_string(list_length) + ")",
+                   workload::MakeLists(8, list_length), "l0_0"});
+  cases.push_back({"binary tree (depth " + std::to_string(tree_depth) + ")",
+                   workload::MakeFullBinaryTrees(1, tree_depth), "t0_0"});
+  cases.push_back({"dag (" + std::to_string(levels) + " levels x 32)",
+                   workload::MakeDag(levels, 32, 1, 7), "g0_0"});
   cases.push_back({"cyclic (dag + 8 cycles)",
-                   workload::MakeCyclicGraph(16, 32, 1, 8, 4, 7), "g0_0"});
+                   workload::MakeCyclicGraph(levels, 32, 1, 8, 4, 7),
+                   "g0_0"});
 
   TablePrinter table({"data_type", "tuples", "answers", "iterations",
                       "t_e_seminaive", "t_e_magic"});
@@ -45,18 +51,19 @@ void Run() {
     testbed::QueryOptions magic = testbed::QueryOptions::Magic();
     size_t answers = 0;
     int64_t iterations = 0;
-    int64_t t_semi = MedianMicros(3, [&]() {
+    int64_t t_semi = MedianMicros(kReps, [&]() {
       auto outcome = Unwrap(tb->Query(goal, semi), "query");
       answers = outcome.result.rows.size();
       iterations = outcome.report.exec.iterations;
       return outcome.report.exec.t_total_us;
     });
-    int64_t t_magic = MedianMicros(3, [&]() {
+    int64_t t_magic = MedianMicros(kReps, [&]() {
       return Unwrap(tb->Query(goal, magic), "magic query").report.exec.t_total_us;
     });
-    table.AddRow({dc.name, std::to_string(dc.edges.num_tuples()),
-                  std::to_string(answers), std::to_string(iterations),
-                  FormatUs(t_semi), FormatUs(t_magic)});
+    table.AddRow({Label(dc.name),
+                  Count(static_cast<int64_t>(dc.edges.num_tuples())),
+                  Count(static_cast<int64_t>(answers)), Count(iterations),
+                  Us(t_semi), Us(t_magic)});
   }
   table.Print();
 }
@@ -64,7 +71,8 @@ void Run() {
 }  // namespace
 }  // namespace dkb::bench
 
-int main() {
+int main(int argc, char** argv) {
+  dkb::bench::ParseBenchArgs(argc, argv);
   dkb::bench::Run();
   return 0;
 }

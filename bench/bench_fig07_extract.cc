@@ -20,7 +20,7 @@ void Run() {
 
   TablePrinter table({"R_s", "R_rs=1", "R_rs=7", "R_rs=20"});
   for (int rs : kRs) {
-    std::vector<std::string> row = {std::to_string(rs)};
+    std::vector<Cell> row = {Count(rs)};
     for (int rrs : kRrs) {
       StoredRuleBaseFixture fx = MakeStoredRuleBase(rs, rrs);
       datalog::Atom goal;
@@ -33,7 +33,7 @@ void Run() {
         Unwrap(fx.tb->CompileOnly(goal, opts, &stats), "CompileOnly");
         return stats.t_extract_us;
       });
-      row.push_back(FormatUs(median));
+      row.push_back(Us(median));
     }
     table.AddRow(std::move(row));
   }

@@ -29,8 +29,8 @@ void Run() {
       Unwrap(fx.tb->CompileOnly(goal, opts, &last), "CompileOnly");
       return last.t_extract_us;
     });
-    table.AddRow({std::to_string(rrs), FormatUs(median),
-                  std::to_string(last.rules_extracted_stored)});
+    table.AddRow(
+        {Count(rrs), Us(median), Count(last.rules_extracted_stored)});
   }
   table.Print();
 }

@@ -18,7 +18,7 @@ void Run() {
 
   TablePrinter table({"P_s", "P_rs=1", "P_rs=4", "P_rs=10"});
   for (int ps : kPs) {
-    std::vector<std::string> row = {std::to_string(ps)};
+    std::vector<Cell> row = {Count(ps)};
     for (int prs : kPrs) {
       StoredRuleBaseFixture fx = MakeStoredRuleBase(ps, prs);
       datalog::Atom goal;
@@ -31,7 +31,7 @@ void Run() {
         Unwrap(fx.tb->CompileOnly(goal, opts, &stats), "CompileOnly");
         return stats.t_read_us;
       });
-      row.push_back(FormatUs(median));
+      row.push_back(Us(median));
     }
     table.AddRow(std::move(row));
   }

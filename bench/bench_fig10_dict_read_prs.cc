@@ -28,7 +28,7 @@ void Run() {
       Unwrap(fx.tb->CompileOnly(goal, opts, &stats), "CompileOnly");
       return stats.t_read_us;
     });
-    table.AddRow({std::to_string(prs), FormatUs(median)});
+    table.AddRow({Count(prs), Us(median)});
   }
   table.Print();
 }

@@ -41,8 +41,8 @@ void Run() {
       int64_t t = TimeQuery(tb.get(), TreeAncestorGoal(LeftmostAtLevel(level)),
                             opts, kReps, &answers);
       double drel = static_cast<double>(workload::SubtreeSize(kDepth, level));
-      table.AddRow({std::to_string(level), FormatF(drel / dtot, 4),
-                    std::to_string(answers), FormatUs(t)});
+      table.AddRow({Count(level), Ratio(drel / dtot, 4),
+                    Count(static_cast<int64_t>(answers)), Us(t)});
     }
     std::printf("Method 1: D_tot fixed (depth-%d tree, %lld tuples), query "
                 "moves to smaller sub-trees\n\n",
@@ -64,9 +64,8 @@ void Run() {
                             kReps);
       double dtot = static_cast<double>(workload::SubtreeSize(depth, 0));
       double drel = static_cast<double>(workload::SubtreeSize(depth, level));
-      table.AddRow({std::to_string(depth),
-                    std::to_string(static_cast<long long>(dtot - 1)),
-                    FormatF(drel / dtot, 4), FormatUs(t)});
+      table.AddRow({Count(depth), Count(static_cast<int64_t>(dtot - 1)),
+                    Ratio(drel / dtot, 4), Us(t)});
     }
     std::printf("\nMethod 2: D_rel fixed (depth-5 sub-tree), parent relation "
                 "grows\n\n");

@@ -30,9 +30,8 @@ void Run() {
       return Unwrap(tb->Query(goal, semi), "semi").report.exec.t_total_us;
     });
     double drel = static_cast<double>(workload::SubtreeSize(kDepth, level));
-    table.AddRow({std::to_string(level), FormatF(drel / dtot, 4),
-                  FormatUs(tn), FormatUs(ts),
-                  FormatF(static_cast<double>(tn) / ts, 2)});
+    table.AddRow({Count(level), Ratio(drel / dtot, 4), Us(tn), Us(ts),
+                  Ratio(static_cast<double>(tn) / ts)});
   }
   table.Print();
 }

@@ -40,10 +40,9 @@ void Run() {
       int64_t np = timed(lfp::LfpStrategy::kNaive, false);
       int64_t nm = timed(lfp::LfpStrategy::kNaive, true);
       double sel = workload::SubtreeSize(depth, level) / dtot;
-      table.AddRow({std::to_string(level), FormatPct(sel), FormatUs(sp),
-                    FormatUs(sm), FormatUs(np), FormatUs(nm),
-                    FormatF(static_cast<double>(sp) / sm, 2),
-                    FormatF(static_cast<double>(np) / nm, 2)});
+      table.AddRow({Count(level), Pct(sel), Us(sp), Us(sm), Us(np), Us(nm),
+                    Ratio(static_cast<double>(sp) / sm),
+                    Ratio(static_cast<double>(np) / nm)});
     }
     std::printf("%s\n\n", caption);
     table.Print();

@@ -49,9 +49,8 @@ void Run() {
       return outcome.report.exec.t_total_us;
     });
     double sel = workload::SubtreeSize(kDepth, level) / dtot;
-    table.AddRow({std::to_string(level), FormatPct(sel), FormatUs(t_magic),
-                  FormatUs(t_modified), std::to_string(n_magic),
-                  std::to_string(n_modified)});
+    table.AddRow({Count(level), Pct(sel), Us(t_magic), Us(t_modified),
+                  Count(n_magic), Count(n_modified)});
   }
   table.Print();
 }

@@ -2,8 +2,7 @@
 // throughput of the binary wire protocol (dkb_server + RemoteClient).
 // Not a paper figure: the 1988 testbed was a single-process system; this
 // bench characterizes the network extension the same way bench_concurrency
-// characterizes the in-process one. Emits BENCH_net.json (folded into
-// BENCH_paper.json by bench_paper).
+// characterizes the in-process one.
 //
 //   bench_net [--smoke] [--connect host:port] [--trace]
 //             [--connections N] [--pipeline D] [--batch B] [--windows W]
@@ -106,7 +105,7 @@ void LoadFixture(const std::string& target, int chain) {
           "DefineBase bnupd");
 }
 
-/// Latency summary of one workload, ready for the table and the JSON.
+/// Latency summary of one workload, one row of the table.
 struct WorkloadStats {
   std::string name;
   int connections = 0;
@@ -116,26 +115,6 @@ struct WorkloadStats {
   std::shared_ptr<metrics::Histogram> latency =
       std::make_shared<metrics::Histogram>();
   double qps = 0.0;
-
-  std::string Json() const {
-    std::string out = "{\"workload\": \"" + JsonEscape(name) + "\"";
-    out += ", \"connections\": " + std::to_string(connections);
-    out += ", \"requests\": " + std::to_string(requests);
-    out += ", \"qps\": " + FormatF(qps, 2);
-    out += ", \"latency_us\": {\"count\": " + std::to_string(latency->count());
-    out += ", \"mean\": " + FormatF(latency->mean(), 1);
-    out += ", \"max\": " + std::to_string(latency->max());
-    out += ", \"quantiles\": [";
-    const double qs[] = {0.25, 0.5, 0.75, 0.9, 0.99, 0.999};
-    for (size_t i = 0; i < sizeof(qs) / sizeof(qs[0]); ++i) {
-      if (i > 0) out += ", ";
-      out += "{\"q\": " + FormatF(qs[i], 3) +
-             ", \"le_us\": " + std::to_string(latency->ApproxQuantile(qs[i])) +
-             "}";
-    }
-    out += "]}}";
-    return out;
-  }
 };
 
 /// Runs `body(conn_index, client)` on `connections` threads, one fresh
@@ -318,9 +297,9 @@ void Run() {
   // the sustained number reads higher than that floor because dozens of
   // oversubscribed threads amplify the traced path's extra allocations.
   double trace_overhead_pct = 0.0;
+  constexpr int kTraceRounds = 3;
   if (g_cli.trace) {
     const std::string traced_goal = "bnanc(bn0, W)";
-    constexpr int kTraceRounds = 3;
     WorkloadStats best_untraced;
     WorkloadStats best_traced;
     for (int round = 0; round < kTraceRounds; ++round) {
@@ -338,16 +317,24 @@ void Run() {
     }
   }
 
+  BenchOutput().Add("external_server", !g_cli.connect.empty());
+  BenchOutput().Add("sustain_connections",
+                    static_cast<int64_t>(SustainConnections()));
+  BenchOutput().Add("pipeline_depth", static_cast<int64_t>(PipelineDepth()));
+  BenchOutput().Add("batch_size", static_cast<int64_t>(BatchSize()));
+  if (g_cli.trace) {
+    BenchOutput().Add("trace_overhead_pct", trace_overhead_pct);
+    BenchOutput().Add("trace_overhead_target_pct", 3.0);
+    BenchOutput().Add("trace_rounds", static_cast<int64_t>(kTraceRounds));
+  }
   TablePrinter table({"workload", "conns", "requests", "p50", "p99", "max",
                       "mean", "qps"});
   for (const WorkloadStats& w : workloads) {
-    table.AddRow({w.name, std::to_string(w.connections),
-                  std::to_string(w.requests),
-                  FormatUs(w.latency->ApproxQuantile(0.5)),
-                  FormatUs(w.latency->ApproxQuantile(0.99)),
-                  FormatUs(w.latency->max()),
-                  FormatUs(static_cast<int64_t>(w.latency->mean())),
-                  FormatF(w.qps, 1)});
+    table.AddRow({Label(w.name), Count(w.connections), Count(w.requests),
+                  Us(w.latency->ApproxQuantile(0.5)),
+                  Us(w.latency->ApproxQuantile(0.99)), Us(w.latency->max()),
+                  Us(static_cast<int64_t>(w.latency->mean())),
+                  Ratio(w.qps, 1)});
   }
   table.Print();
   std::printf(
@@ -358,37 +345,6 @@ void Run() {
     std::printf("  trace propagation overhead: %s%% (target < 3%%)\n",
                 FormatF(trace_overhead_pct, 2).c_str());
   }
-
-  BenchJson json("net");
-  json.Add("smoke", SmokeMode());
-  json.Add("external_server", !g_cli.connect.empty());
-  json.Add("sustain_connections", static_cast<int64_t>(SustainConnections()));
-  json.Add("pipeline_depth", static_cast<int64_t>(PipelineDepth()));
-  json.Add("batch_size", static_cast<int64_t>(BatchSize()));
-  if (g_cli.trace) {
-    json.AddRaw("trace_overhead",
-                "{\"overhead_pct\": " + FormatF(trace_overhead_pct, 2) +
-                    ", \"target_pct\": 3.0, \"rounds\": 3"
-                    ", \"hardware_concurrency\": " +
-                    std::to_string(std::thread::hardware_concurrency()) + "}");
-  }
-  std::string rows = "[";
-  for (size_t i = 0; i < workloads.size(); ++i) {
-    if (i > 0) rows += ", ";
-    rows += workloads[i].Json();
-  }
-  rows += "]";
-  json.AddRaw("workloads", rows);
-  CheckOk(json.WriteFile("BENCH_net.json"), "write BENCH_net.json");
-  std::printf("  wrote BENCH_net.json\n");
-
-  std::string error;
-  if (!JsonValidator::Validate(json.Render(), &error)) {
-    std::fprintf(stderr, "FATAL: BENCH_net.json does not parse: %s\n",
-                 error.c_str());
-    std::exit(1);
-  }
-  if (SmokeMode()) std::printf("  smoke: BENCH JSON validated\n");
 
   if (own_tb != nullptr) own_server.Stop();
 }

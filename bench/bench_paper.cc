@@ -1,6 +1,12 @@
-// Aggregate paper-suite runner: executes every bench_fig* / bench_table*
-// binary (plus the concurrency bench), captures their machine-readable
-// "  csv," echo blocks, and merges everything into one BENCH_paper.json.
+// Aggregate paper-suite runner: runs every bench binary of the suite (the
+// list is DKB_PAPER_BENCHES, set from bench/CMakeLists.txt) and gathers the
+// BENCH_<name>.json file each one writes into one BENCH_paper.json, where
+// every child's file appears once, unchanged, under "benches".
+//
+// A child's file is deleted before the child runs, so a file left over from
+// an earlier run never stands in for this one. The suite fails (exit 1) if
+// a child exits non-zero, writes no file, or writes one that does not parse
+// or carries another schema_version.
 //
 // CI runs `bench_paper --smoke` on every push: each child bench shrinks its
 // sweeps under --smoke, so the whole suite finishes in seconds and acts as
@@ -8,133 +14,45 @@
 // --smoke this produces the full paper-scale result file.
 //
 // --compare OLD.json diffs the freshly written result file against a prior
-// run: every timed cell (FormatUs units: "N us" / "N.NN ms" / "N.NN s") is
-// matched by bench, table, and the row's non-time cells, and the run fails
-// (exit 1) if any cell slowed down by more than 25% AND by more than the
-// absolute noise floor (--compare-floor-us, default 50000). CI feeds it a
-// baseline produced moments earlier on the same runner (smoke-vs-smoke), so
-// it gates catastrophic slowdowns, not microbenchmark jitter.
+// run. Rows are matched by bench, table index, and the row's cells in
+// non-"us" columns; each "us" cell is compared with the same column of the
+// matched row, and the run fails (exit 1) if any cell slowed down by more
+// than 25% AND by more than the absolute noise floor (--compare-floor-us,
+// default 50000), or if no cell matched at all. CI feeds it a baseline
+// produced moments earlier on the same runner (smoke-vs-smoke), so it
+// gates catastrophic slowdowns, not microbenchmark jitter.
 //
 //   bench_paper [--smoke] [--out BENCH_paper.json]
 //               [--compare OLD.json] [--compare-floor-us N]
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
-#include "common/str_util.h"
+
+#ifndef DKB_PAPER_BENCHES
+#error "DKB_PAPER_BENCHES (comma-separated bench binaries) must be defined"
+#endif
 
 namespace dkb::bench {
 namespace {
 
-/// The paper suite in paper order (Figures 7-15, Tables 4/5/8), then the
-/// concurrency and network benches whose BENCH_parallel.json /
-/// BENCH_net.json are folded into the merged file. Keep in sync with
-/// bench/CMakeLists.txt.
-const char* const kPaperBenches[] = {
-    "bench_fig07_extract",
-    "bench_fig08_extract_rrs",
-    "bench_fig09_dict_read",
-    "bench_fig10_dict_read_prs",
-    "bench_table4_compile_breakdown",
-    "bench_fig11_relevant_facts",
-    "bench_fig12_naive_vs_seminaive",
-    "bench_table5_lfp_breakdown",
-    "bench_fig13_magic_crossover",
-    "bench_fig14_magic_components",
-    "bench_fig15_update",
-    "bench_table8_update_breakdown",
-    "bench_concurrency",
-    "bench_net",
-    "bench_scale",
-    "bench_wal",
-};
-
-struct CsvTable {
-  std::vector<std::string> headers;
-  std::vector<std::vector<std::string>> rows;
-};
-
-std::vector<std::string> SplitCsvLine(const std::string& line) {
-  // TablePrinter's echo format: "  csv,cell,cell,...". Cells never contain
-  // commas (they are numbers, units, and identifiers).
-  std::vector<std::string> cells;
-  std::string rest = line.substr(std::strlen("  csv,"));
+/// The suite in run order, from bench/CMakeLists.txt.
+std::vector<std::string> SuiteBenches() {
+  std::vector<std::string> names;
+  const std::string list = DKB_PAPER_BENCHES;
   size_t start = 0;
-  while (true) {
-    size_t comma = rest.find(',', start);
-    if (comma == std::string::npos) {
-      cells.push_back(rest.substr(start));
-      break;
-    }
-    cells.push_back(rest.substr(start, comma - start));
+  while (start < list.size()) {
+    size_t comma = list.find(',', start);
+    if (comma == std::string::npos) comma = list.size();
+    names.push_back(list.substr(start, comma - start));
     start = comma + 1;
   }
-  return cells;
-}
-
-/// Extracts the csv echo blocks from a bench's stdout. Consecutive csv
-/// lines form one table: first line headers, the rest rows.
-std::vector<CsvTable> ParseCsvBlocks(const std::string& output) {
-  std::vector<CsvTable> tables;
-  bool in_block = false;
-  size_t pos = 0;
-  while (pos <= output.size()) {
-    size_t eol = output.find('\n', pos);
-    std::string line = output.substr(
-        pos, eol == std::string::npos ? std::string::npos : eol - pos);
-    if (line.rfind("  csv,", 0) == 0) {
-      if (!in_block) {
-        tables.emplace_back();
-        tables.back().headers = SplitCsvLine(line);
-        in_block = true;
-      } else {
-        tables.back().rows.push_back(SplitCsvLine(line));
-      }
-    } else {
-      in_block = false;
-    }
-    if (eol == std::string::npos) break;
-    pos = eol + 1;
-  }
-  return tables;
-}
-
-std::string TableToJson(const CsvTable& table) {
-  std::string out = "{\"headers\": [";
-  for (size_t i = 0; i < table.headers.size(); ++i) {
-    out += (i ? ", " : "") + ("\"" + JsonEscape(table.headers[i]) + "\"");
-  }
-  out += "], \"rows\": [";
-  for (size_t r = 0; r < table.rows.size(); ++r) {
-    out += r ? ", [" : "[";
-    for (size_t c = 0; c < table.rows[r].size(); ++c) {
-      out += (c ? ", " : "") + ("\"" + JsonEscape(table.rows[r][c]) + "\"");
-    }
-    out += "]";
-  }
-  out += "]}";
-  return out;
-}
-
-/// Runs one child bench via popen, returns false on non-zero exit.
-bool RunChild(const std::string& command, std::string* output) {
-  FILE* pipe = popen(command.c_str(), "r");
-  if (pipe == nullptr) {
-    std::fprintf(stderr, "FATAL: popen(%s) failed\n", command.c_str());
-    return false;
-  }
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), pipe)) > 0) {
-    output->append(buf, n);
-  }
-  int rc = pclose(pipe);
-  return rc == 0;
+  return names;
 }
 
 std::string ReadFileOrEmpty(const std::string& path) {
@@ -148,116 +66,70 @@ std::string ReadFileOrEmpty(const std::string& path) {
   return text;
 }
 
+/// Parses a BENCH_*.json file and checks that it is of this generation.
+bool ParseBenchFile(const std::string& text, JsonValue* root,
+                    std::string* error) {
+  if (!JsonParser::Parse(text, root) || root->kind != JsonValue::kObject) {
+    *error = "does not parse as a JSON object";
+    return false;
+  }
+  const JsonValue* version = root->Find("schema_version");
+  if (version == nullptr || version->kind != JsonValue::kNumber ||
+      version->number != kBenchJsonSchemaVersion) {
+    *error = "schema_version is not " + std::to_string(kBenchJsonSchemaVersion);
+    return false;
+  }
+  return true;
+}
+
 int RunSuite(const std::string& self_path, const std::string& out_path) {
   // Children live next to this binary.
   std::string bin_dir = ".";
   size_t slash = self_path.find_last_of('/');
   if (slash != std::string::npos) bin_dir = self_path.substr(0, slash);
 
-  std::string benches_json = "[";
+  std::string benches;
   int ran = 0;
-  for (const char* name : kPaperBenches) {
+  for (const std::string& name : SuiteBenches()) {
+    const std::string file = BenchFileName(name);
+    std::remove(file.c_str());
     std::string command = bin_dir + "/" + name;
     if (SmokeMode()) command += " --smoke";
     // The network bench also measures trace-propagation overhead so the
     // merged JSON always carries the traced-vs-untraced sustain pair.
-    if (std::string(name) == "bench_net") command += " --trace";
-    command += " 2>&1";
-    std::printf("[bench_paper] running %s ...\n", name);
+    if (name == "bench_net") command += " --trace";
+    std::printf("[bench_paper] running %s ...\n", name.c_str());
     std::fflush(stdout);
-    std::string output;
-    if (!RunChild(command, &output)) {
-      std::fprintf(stderr, "FATAL: %s failed; output follows\n%s\n", name,
-                   output.c_str());
+    if (std::system(command.c_str()) != 0) {
+      std::fprintf(stderr, "FATAL: %s failed\n", name.c_str());
       return 1;
     }
-    std::vector<CsvTable> tables = ParseCsvBlocks(output);
-    if (tables.empty() && std::string(name) != "bench_concurrency") {
-      // Every table bench must echo at least one csv block — an empty
-      // result means the output format drifted and plots would go dark.
-      std::fprintf(stderr, "FATAL: %s emitted no '  csv,' blocks\n", name);
+    std::string text = ReadFileOrEmpty(file);
+    JsonValue root;
+    std::string error;
+    if (text.empty()) {
+      error = "wrote no " + file;
+    } else if (ParseBenchFile(text, &root, &error)) {
+      const JsonValue* bench = root.Find("bench");
+      const JsonValue* tables = root.Find("tables");
+      if (bench == nullptr || bench->string != BenchName(name)) {
+        error = file + " does not name bench " + BenchName(name);
+      } else if (tables == nullptr || tables->items.empty()) {
+        error = file + " holds no tables";
+      }
+    }
+    if (!error.empty()) {
+      std::fprintf(stderr, "FATAL: %s: %s\n", name.c_str(), error.c_str());
       return 1;
     }
-    std::string entry = "{\"bench\": \"" + JsonEscape(name) + "\", ";
-    entry += "\"tables\": [";
-    for (size_t t = 0; t < tables.size(); ++t) {
-      entry += (t ? ", " : "") + TableToJson(tables[t]);
-    }
-    entry += "]}";
-    benches_json += (ran ? ", " : "") + entry;
+    while (!text.empty() && text.back() == '\n') text.pop_back();
+    benches += (ran ? ",\n" : "\n") + text;
     ++ran;
   }
-  benches_json += "]";
 
   BenchJson json("paper");
-  json.Add("smoke", SmokeMode());
   json.Add("benches_run", static_cast<int64_t>(ran));
-  json.AddRaw("benches", benches_json);
-
-  // bench_concurrency writes BENCH_parallel.json into the working
-  // directory; fold it in so one artifact carries the whole suite.
-  std::string parallel = ReadFileOrEmpty("BENCH_parallel.json");
-  if (!parallel.empty()) {
-    std::string error;
-    if (!JsonValidator::Validate(parallel, &error)) {
-      std::fprintf(stderr, "FATAL: BENCH_parallel.json invalid: %s\n",
-                   error.c_str());
-      return 1;
-    }
-    json.AddRaw("parallel", parallel);
-  }
-
-  // Same for bench_net's latency histograms.
-  std::string net = ReadFileOrEmpty("BENCH_net.json");
-  if (!net.empty()) {
-    std::string error;
-    if (!JsonValidator::Validate(net, &error)) {
-      std::fprintf(stderr, "FATAL: BENCH_net.json invalid: %s\n",
-                   error.c_str());
-      return 1;
-    }
-    json.AddRaw("net", net);
-  }
-
-  // And bench_scale's 10x-data fig12/fig13 cells.
-  std::string scale = ReadFileOrEmpty("BENCH_scale.json");
-  if (!scale.empty()) {
-    std::string error;
-    if (!JsonValidator::Validate(scale, &error)) {
-      std::fprintf(stderr, "FATAL: BENCH_scale.json invalid: %s\n",
-                   error.c_str());
-      return 1;
-    }
-    json.AddRaw("scale", scale);
-  }
-
-  // And bench_wal's durable-commit latency and session-open costs.
-  std::string wal = ReadFileOrEmpty("BENCH_wal.json");
-  if (!wal.empty()) {
-    std::string error;
-    if (!JsonValidator::Validate(wal, &error)) {
-      std::fprintf(stderr, "FATAL: BENCH_wal.json invalid: %s\n",
-                   error.c_str());
-      return 1;
-    }
-    json.AddRaw("wal", wal);
-  }
-
-  // Schema gate: the merged file must parse and carry the current schema
-  // version; CI fails on drift before any plotting script sees it.
-  std::string rendered = json.Render();
-  std::string error;
-  if (!JsonValidator::Validate(rendered, &error)) {
-    std::fprintf(stderr, "FATAL: merged JSON invalid: %s\n", error.c_str());
-    return 1;
-  }
-  std::string version_field =
-      "\"schema_version\": " + std::to_string(kBenchJsonSchemaVersion);
-  if (rendered.find(version_field) == std::string::npos) {
-    std::fprintf(stderr, "FATAL: merged JSON missing %s\n",
-                 version_field.c_str());
-    return 1;
-  }
+  json.AddRaw("benches", "[" + benches + "\n]");
   CheckOk(json.WriteFile(out_path), "write merged json");
   std::printf("[bench_paper] %d benches merged into %s (schema_version=%d)\n",
               ran, out_path.c_str(), kBenchJsonSchemaVersion);
@@ -267,173 +139,11 @@ int RunSuite(const std::string& self_path, const std::string& out_path) {
 // ---------------------------------------------------------------------------
 // --compare: regression gate against a prior BENCH_paper.json.
 
-/// Minimal JSON value tree for reading BENCH_paper.json back. Only the
-/// shapes BenchJson/TableToJson emit are needed; anything else is a parse
-/// error.
-struct JsonValue {
-  enum Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = kNull;
-  bool boolean = false;
-  double number = 0;
-  std::string string;
-  std::vector<JsonValue> items;                            // kArray
-  std::vector<std::pair<std::string, JsonValue>> fields;   // kObject
-
-  const JsonValue* Find(const std::string& key) const {
-    for (const auto& [k, v] : fields) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  static bool Parse(const std::string& text, JsonValue* out) {
-    JsonParser p(text);
-    if (!p.Value(out)) return false;
-    p.SkipWs();
-    return p.pos_ == text.size();
-  }
-
- private:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  void SkipWs() {
-    while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                                   text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-  bool Eat(char c) {
-    SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  bool String(std::string* out) {
-    if (!Eat('"')) return false;
-    out->clear();
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) return false;
-      char esc = text_[pos_++];
-      switch (esc) {
-        case 'n': out->push_back('\n'); break;
-        case 't': out->push_back('\t'); break;
-        case 'r': out->push_back('\r'); break;
-        case 'b': out->push_back('\b'); break;
-        case 'f': out->push_back('\f'); break;
-        case 'u':
-          // Bench cells are ASCII; keep a placeholder rather than decoding.
-          if (pos_ + 4 > text_.size()) return false;
-          pos_ += 4;
-          out->push_back('?');
-          break;
-        default: out->push_back(esc); break;
-      }
-    }
-    return false;
-  }
-  bool Value(JsonValue* out) {
-    SkipWs();
-    if (pos_ >= text_.size()) return false;
-    char c = text_[pos_];
-    if (c == '{') {
-      out->kind = JsonValue::kObject;
-      ++pos_;
-      if (Eat('}')) return true;
-      while (true) {
-        std::string key;
-        SkipWs();
-        if (!String(&key)) return false;
-        if (!Eat(':')) return false;
-        JsonValue v;
-        if (!Value(&v)) return false;
-        out->fields.emplace_back(std::move(key), std::move(v));
-        if (Eat('}')) return true;
-        if (!Eat(',')) return false;
-      }
-    }
-    if (c == '[') {
-      out->kind = JsonValue::kArray;
-      ++pos_;
-      if (Eat(']')) return true;
-      while (true) {
-        JsonValue v;
-        if (!Value(&v)) return false;
-        out->items.push_back(std::move(v));
-        if (Eat(']')) return true;
-        if (!Eat(',')) return false;
-      }
-    }
-    if (c == '"') {
-      out->kind = JsonValue::kString;
-      return String(&out->string);
-    }
-    if (text_.compare(pos_, 4, "true") == 0) {
-      out->kind = JsonValue::kBool;
-      out->boolean = true;
-      pos_ += 4;
-      return true;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      out->kind = JsonValue::kBool;
-      pos_ += 5;
-      return true;
-    }
-    if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      return true;
-    }
-    char* end = nullptr;
-    out->number = std::strtod(text_.c_str() + pos_, &end);
-    if (end == text_.c_str() + pos_) return false;
-    out->kind = JsonValue::kNumber;
-    pos_ = static_cast<size_t>(end - text_.c_str());
-    return true;
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
-/// Parses a FormatUs cell ("123 us", "1.23 ms", "4.56 s") back to micros.
-bool ParseTimeCell(const std::string& cell, int64_t* us) {
-  char* end = nullptr;
-  double v = std::strtod(cell.c_str(), &end);
-  if (end == cell.c_str()) return false;
-  std::string unit = end;
-  while (!unit.empty() && unit.front() == ' ') unit.erase(unit.begin());
-  if (unit == "us") {
-    *us = static_cast<int64_t>(v);
-  } else if (unit == "ms") {
-    *us = static_cast<int64_t>(v * 1e3);
-  } else if (unit == "s") {
-    *us = static_cast<int64_t>(v * 1e6);
-  } else {
-    return false;
-  }
-  return true;
-}
-
-/// bench name -> its csv tables, read out of a merged BENCH_paper.json.
-bool ExtractBenchTables(const std::string& json_text,
-                        std::map<std::string, std::vector<CsvTable>>* out,
-                        std::string* error) {
-  JsonValue root;
-  if (!JsonParser::Parse(json_text, &root) ||
-      root.kind != JsonValue::kObject) {
-    *error = "not a JSON object";
-    return false;
-  }
+/// bench name -> its table objects, read out of a merged BENCH_paper.json.
+bool ExtractBenchTables(
+    const JsonValue& root,
+    std::map<std::string, std::vector<const JsonValue*>>* out,
+    std::string* error) {
   const JsonValue* benches = root.Find("benches");
   if (benches == nullptr || benches->kind != JsonValue::kArray) {
     *error = "missing \"benches\" array";
@@ -442,67 +152,85 @@ bool ExtractBenchTables(const std::string& json_text,
   for (const JsonValue& entry : benches->items) {
     const JsonValue* name = entry.Find("bench");
     const JsonValue* tables = entry.Find("tables");
-    if (name == nullptr || name->kind != JsonValue::kString ||
-        tables == nullptr || tables->kind != JsonValue::kArray) {
+    if (name == nullptr || tables == nullptr) {
       *error = "malformed bench entry";
       return false;
     }
-    std::vector<CsvTable>& dst = (*out)[name->string];
     for (const JsonValue& t : tables->items) {
-      CsvTable table;
       const JsonValue* headers = t.Find("headers");
+      const JsonValue* units = t.Find("units");
       const JsonValue* rows = t.Find("rows");
-      if (headers == nullptr || rows == nullptr) {
+      if (headers == nullptr || units == nullptr || rows == nullptr ||
+          units->items.size() != headers->items.size()) {
         *error = "malformed table in " + name->string;
         return false;
       }
-      for (const JsonValue& h : headers->items) table.headers.push_back(h.string);
-      for (const JsonValue& r : rows->items) {
-        std::vector<std::string> cells;
-        for (const JsonValue& c : r.items) cells.push_back(c.string);
-        table.rows.push_back(std::move(cells));
+      for (const JsonValue& row : rows->items) {
+        if (row.items.size() != headers->items.size()) {
+          *error = "ragged row in " + name->string;
+          return false;
+        }
       }
-      dst.push_back(std::move(table));
+      (*out)[name->string].push_back(&t);
     }
   }
   return true;
 }
 
-/// Identity of a row across runs: every cell that is not a timing. Sweep
-/// parameters, labels, and counts key the row; timed cells are what we
-/// compare. Duplicate keys get an occurrence suffix.
-std::string RowKey(const std::vector<std::string>& cells) {
+const std::string& ColumnName(const JsonValue& table, size_t c) {
+  return table.Find("headers")->items[c].string;
+}
+const std::string& ColumnUnit(const JsonValue& table, size_t c) {
+  return table.Find("units")->items[c].string;
+}
+
+/// Identity of a row across runs: its cells in non-"us" columns (sweep
+/// parameters, names, counts, ratios, percentages). A row whose measured
+/// ratio moved therefore matches nothing and is not compared.
+std::string RowKey(const JsonValue& table, const JsonValue& row) {
   std::string key;
-  int64_t us;
-  for (const std::string& cell : cells) {
-    if (ParseTimeCell(cell, &us)) continue;
-    key += cell;
-    key += '|';
+  for (size_t c = 0; c < row.items.size(); ++c) {
+    if (ColumnUnit(table, c) == "us") continue;
+    const JsonValue& cell = row.items[c];
+    key += ColumnName(table, c) + "=" +
+           (cell.kind == JsonValue::kString   ? cell.string
+            : cell.kind == JsonValue::kNumber ? JsonNumber(cell.number)
+                                              : "null") +
+           "|";
   }
   return key;
 }
 
+/// Rows of `table` by key; repeated keys get an occurrence suffix.
+std::map<std::string, const JsonValue*> RowsByKey(const JsonValue& table) {
+  std::map<std::string, const JsonValue*> rows;
+  std::map<std::string, int> seen;
+  for (const JsonValue& row : table.Find("rows")->items) {
+    std::string key = RowKey(table, row);
+    rows[key + "#" + std::to_string(seen[key]++)] = &row;
+  }
+  return rows;
+}
+
 /// Diffs `new_path` (just written by this run) against `old_path`. Returns
-/// the number of cells that regressed past both gates; 25% relative AND
+/// non-zero if a cell regressed past both gates (25% relative AND
 /// `floor_us` absolute, so micro-jitter on sub-millisecond cells never
-/// trips the gate.
+/// trips the gate) or if no cell matched.
 int CompareSuites(const std::string& old_path, const std::string& new_path,
                   int64_t floor_us) {
-  const std::string old_text = ReadFileOrEmpty(old_path);
-  if (old_text.empty()) {
-    std::fprintf(stderr, "FATAL: --compare %s: unreadable or empty\n",
-                 old_path.c_str());
-    return 1;
-  }
-  const std::string new_text = ReadFileOrEmpty(new_path);
-  std::map<std::string, std::vector<CsvTable>> old_suite, new_suite;
+  JsonValue old_root;
+  JsonValue new_root;
+  std::map<std::string, std::vector<const JsonValue*>> old_suite, new_suite;
   std::string error;
-  if (!ExtractBenchTables(old_text, &old_suite, &error)) {
+  const std::string old_text = ReadFileOrEmpty(old_path);
+  if (old_text.empty() || !ParseBenchFile(old_text, &old_root, &error) ||
+      !ExtractBenchTables(old_root, &old_suite, &error)) {
     std::fprintf(stderr, "FATAL: --compare %s: %s\n", old_path.c_str(),
-                 error.c_str());
+                 old_text.empty() ? "unreadable or empty" : error.c_str());
     return 1;
   }
-  if (!ExtractBenchTables(new_text, &new_suite, &error)) {
+  if (!ParseBenchFile(ReadFileOrEmpty(new_path), &new_root, &error) ||
+      !ExtractBenchTables(new_root, &new_suite, &error)) {
     std::fprintf(stderr, "FATAL: %s: %s\n", new_path.c_str(), error.c_str());
     return 1;
   }
@@ -515,39 +243,43 @@ int CompareSuites(const std::string& old_path, const std::string& new_path,
   for (const auto& [bench, new_tables] : new_suite) {
     auto old_it = old_suite.find(bench);
     if (old_it == old_suite.end()) continue;  // new bench: nothing to diff
-    const std::vector<CsvTable>& old_tables = old_it->second;
+    const std::vector<const JsonValue*>& old_tables = old_it->second;
     for (size_t t = 0; t < new_tables.size() && t < old_tables.size(); ++t) {
-      // Index old rows by their non-time cells (occurrence-disambiguated).
-      std::map<std::string, const std::vector<std::string>*> old_rows;
-      std::map<std::string, int> seen;
-      for (const auto& row : old_tables[t].rows) {
-        std::string key = RowKey(row) + "#" + std::to_string(seen[RowKey(row)]++);
-        old_rows[key] = &row;
+      const JsonValue& new_table = *new_tables[t];
+      const JsonValue& old_table = *old_tables[t];
+      // (new, old) index pairs of the "us" columns, matched by name.
+      std::vector<std::pair<size_t, size_t>> us_columns;
+      const size_t old_width = old_table.Find("headers")->items.size();
+      for (size_t c = 0; c < new_table.Find("headers")->items.size(); ++c) {
+        for (size_t oc = 0; oc < old_width; ++oc) {
+          if (ColumnUnit(new_table, c) == "us" &&
+              ColumnUnit(old_table, oc) == "us" &&
+              ColumnName(new_table, c) == ColumnName(old_table, oc)) {
+            us_columns.emplace_back(c, oc);
+          }
+        }
       }
-      seen.clear();
-      for (const auto& row : new_tables[t].rows) {
-        std::string key = RowKey(row) + "#" + std::to_string(seen[RowKey(row)]++);
+      const auto old_rows = RowsByKey(old_table);
+      for (const auto& [key, row] : RowsByKey(new_table)) {
         auto match = old_rows.find(key);
         if (match == old_rows.end()) continue;  // new sweep point
-        const std::vector<std::string>& old_row = *match->second;
-        for (size_t c = 0; c < row.size() && c < old_row.size(); ++c) {
-          int64_t old_us, new_us;
-          if (!ParseTimeCell(old_row[c], &old_us) ||
-              !ParseTimeCell(row[c], &new_us)) {
+        for (const auto& [c, oc] : us_columns) {
+          const JsonValue& old_cell = match->second->items[oc];
+          const JsonValue& new_cell = row->items[c];
+          if (old_cell.kind != JsonValue::kNumber ||
+              new_cell.kind != JsonValue::kNumber) {
             continue;
           }
           ++compared;
-          const bool slow = new_us > old_us + old_us / 4 &&
-                            new_us - old_us > floor_us;
-          if (slow) {
+          const double old_us = old_cell.number;
+          const double new_us = new_cell.number;
+          if (new_us > old_us * 1.25 && new_us - old_us > floor_us) {
             ++regressions;
-            const std::string col =
-                c < new_tables[t].headers.size() ? new_tables[t].headers[c]
-                                                 : std::to_string(c);
-            std::fprintf(stderr,
-                         "REGRESSION: %s table %zu [%s] %s: %s -> %s\n",
-                         bench.c_str(), t, RowKey(row).c_str(), col.c_str(),
-                         old_row[c].c_str(), row[c].c_str());
+            std::fprintf(stderr, "REGRESSION: %s table %zu [%s] %s: %s -> %s\n",
+                         bench.c_str(), t, key.c_str(),
+                         ColumnName(new_table, c).c_str(),
+                         FormatUs(std::llround(old_us)).c_str(),
+                         FormatUs(std::llround(new_us)).c_str());
           }
         }
       }

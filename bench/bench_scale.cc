@@ -5,8 +5,6 @@
 // a multi-core host the semi-naive diff runs hash-partitioned on the
 // global pool; t_term (Table 5's termination bucket) is reported next to
 // t_e so the diff's share of each cell stays visible.
-//
-// Writes BENCH_scale.json (folded into BENCH_paper.json under "scale").
 
 #include <algorithm>
 #include <cstdio>
@@ -34,9 +32,9 @@ void Run() {
   const int kDepth = SmokeSize(13, 6);
   const int kReps = Reps(3, 1);
   auto tb = MakeAncestorTree(kDepth);
-
-  std::string results_json = "[";
-  int cells = 0;
+  BenchOutput().Add("workload", "ancestor full binary tree depth " +
+                                    std::to_string(kDepth));
+  BenchOutput().Add("reps", static_cast<int64_t>(kReps));
 
   auto run_cell = [&](const char* figure, int level,
                       const testbed::QueryOptions& opts,
@@ -50,15 +48,8 @@ void Run() {
       t_e.push_back(exec.t_total_us);
       t_term.push_back(exec.t_term_us);
     }
-    const int64_t te = Median(t_e);
-    const int64_t tt = Median(t_term);
-    table->AddRow(
-        {figure, std::to_string(level), FormatUs(te), FormatUs(tt)});
-    results_json += std::string(cells ? ", " : "") + "{\"figure\": \"" +
-                    figure + "\", \"level\": " + std::to_string(level) +
-                    ", \"t_e_us\": " + std::to_string(te) +
-                    ", \"t_term_us\": " + std::to_string(tt) + "}";
-    ++cells;
+    table->AddRow({Label(figure), Count(level), Us(Median(t_e)),
+                   Us(Median(t_term))});
   };
 
   TablePrinter table({"figure", "level", "t_e", "t_term"});
@@ -72,22 +63,12 @@ void Run() {
     run_cell("fig13_magic", level, testbed::QueryOptions::Magic(), &table);
   }
   table.Print();
-  results_json += "]";
 
   const size_t pool = GlobalThreadPool().num_threads();
   std::printf(
       "\npool_threads=%zu; the partitioned diff needs >= 1 pool worker - "
       "without one every cell runs the serial diff\n",
       pool);
-
-  BenchJson json("scale");
-  json.Add("workload",
-           "ancestor full binary tree depth " + std::to_string(kDepth));
-  json.Add("reps", static_cast<int64_t>(kReps));
-  json.Add("cells", static_cast<int64_t>(cells));
-  json.Add("pool_threads", static_cast<int64_t>(pool));
-  json.AddRaw("results", results_json);
-  CheckOk(json.WriteFile("BENCH_scale.json"), "write BENCH_scale.json");
 }
 
 }  // namespace

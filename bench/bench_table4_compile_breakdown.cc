@@ -38,13 +38,11 @@ void Run() {
                 return a.total_us() < b.total_us();
               });
     const km::CompilationStats& s = runs[runs.size() / 2];
-    table.AddRow({std::to_string(rrs), FormatUs(s.t_setup_us),
-                  FormatUs(s.t_extract_us), FormatUs(s.t_read_us),
-                  FormatUs(s.t_eol_us), FormatUs(s.t_sem_us),
-                  FormatUs(s.t_gen_us), FormatUs(s.t_comp_us),
-                  FormatUs(s.total_us()),
-                  FormatPct(static_cast<double>(s.t_extract_us) /
-                            std::max<int64_t>(1, s.total_us()))});
+    table.AddRow({Count(rrs), Us(s.t_setup_us), Us(s.t_extract_us),
+                  Us(s.t_read_us), Us(s.t_eol_us), Us(s.t_sem_us),
+                  Us(s.t_gen_us), Us(s.t_comp_us), Us(s.total_us()),
+                  Pct(static_cast<double>(s.t_extract_us) /
+                      std::max<int64_t>(1, s.total_us()))});
   }
   table.Print();
 }

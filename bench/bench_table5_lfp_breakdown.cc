@@ -39,11 +39,11 @@ void Run() {
     const lfp::ExecutionStats& s = *sink;
     double total = static_cast<double>(
         std::max<int64_t>(1, s.t_temp_us + s.t_rhs_us + s.t_term_us));
-    table.AddRow({lfp::StrategyName(strategy), FormatUs(s.t_temp_us),
-                  FormatUs(s.t_rhs_us), FormatUs(s.t_term_us),
-                  FormatUs(s.t_total_us), FormatPct(s.t_temp_us / total),
-                  FormatPct((s.t_rhs_us + s.t_term_us) / total),
-                  std::to_string(s.iterations)});
+    table.AddRow({Label(lfp::StrategyName(strategy)), Us(s.t_temp_us),
+                  Us(s.t_rhs_us), Us(s.t_term_us), Us(s.t_total_us),
+                  Pct(s.t_temp_us / total),
+                  Pct((s.t_rhs_us + s.t_term_us) / total),
+                  Count(s.iterations)});
   }
   table.Print();
 

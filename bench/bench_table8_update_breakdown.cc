@@ -24,14 +24,11 @@ void RunCase(int r_ws, TablePrinter* table) {
   }
   auto stats = Unwrap(fx.tb->UpdateStoredDkb(), "UpdateStoredDkb");
   double total = static_cast<double>(std::max<int64_t>(1, stats.total_us()));
-  table->AddRow({std::to_string(r_ws), std::to_string(kRs),
-                 std::to_string(stats.closure_edges),
-                 FormatPct(stats.t_extract_us / total),
-                 FormatPct(stats.t_tc_us / total),
-                 FormatPct(stats.t_typecheck_us / total),
-                 FormatPct(stats.t_dict_us / total),
-                 FormatPct(stats.t_store_us / total),
-                 FormatUs(stats.total_us())});
+  table->AddRow({Count(r_ws), Count(kRs), Count(stats.closure_edges),
+                 Pct(stats.t_extract_us / total), Pct(stats.t_tc_us / total),
+                 Pct(stats.t_typecheck_us / total),
+                 Pct(stats.t_dict_us / total), Pct(stats.t_store_us / total),
+                 Us(stats.total_us())});
 }
 
 void Run() {

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -24,7 +25,7 @@ namespace dkb::bench {
 /// Schema version of BENCH_*.json files. Bump when the header or the shape
 /// of bench-specific fields changes incompatibly, so cross-PR comparison
 /// scripts can refuse to mix generations.
-constexpr int kBenchJsonSchemaVersion = 2;
+constexpr int kBenchJsonSchemaVersion = 3;
 
 /// Process-wide smoke switch. Under --smoke every bench shrinks its sweep
 /// grids and rep counts so the full paper suite (bench_paper) finishes in
@@ -35,8 +36,16 @@ inline bool& SmokeMode() {
   return smoke;
 }
 
-/// Parses the flags shared by every bench binary (currently just --smoke).
+/// argv[0] of this bench binary; names its BENCH_<name>.json.
+inline std::string& BinaryName() {
+  static std::string name;
+  return name;
+}
+
+/// Parses the flags shared by every bench binary (currently just --smoke)
+/// and records the binary's name.
 inline void ParseBenchArgs(int argc, char** argv) {
+  BinaryName() = argv[0];
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--smoke") SmokeMode() = true;
   }
@@ -109,71 +118,17 @@ inline std::string FormatF(double v, int digits = 2) {
   return buf;
 }
 
-/// Column-aligned ASCII table plus machine-readable CSV echo.
-class TablePrinter {
- public:
-  explicit TablePrinter(std::vector<std::string> headers)
-      : headers_(std::move(headers)) {}
-
-  void AddRow(std::vector<std::string> cells) {
-    rows_.push_back(std::move(cells));
-  }
-
-  void Print() const {
-    std::vector<size_t> widths(headers_.size());
-    for (size_t c = 0; c < headers_.size(); ++c) widths[c] = headers_[c].size();
-    for (const auto& row : rows_) {
-      for (size_t c = 0; c < row.size() && c < widths.size(); ++c) {
-        widths[c] = std::max(widths[c], row[c].size());
-      }
-    }
-    auto print_row = [&](const std::vector<std::string>& row) {
-      for (size_t c = 0; c < row.size(); ++c) {
-        std::printf("%s%-*s", c ? "  " : "  ", static_cast<int>(widths[c]),
-                    row[c].c_str());
-      }
-      std::printf("\n");
-    };
-    print_row(headers_);
-    std::string rule;
-    for (size_t c = 0; c < headers_.size(); ++c) {
-      rule += std::string(widths[c], '-') + "  ";
-    }
-    std::printf("  %s\n", rule.c_str());
-    for (const auto& row : rows_) print_row(row);
-    // CSV echo for plotting.
-    std::printf("\n  csv,");
-    for (size_t c = 0; c < headers_.size(); ++c) {
-      std::printf("%s%s", c ? "," : "", headers_[c].c_str());
-    }
-    std::printf("\n");
-    for (const auto& row : rows_) {
-      std::printf("  csv,");
-      for (size_t c = 0; c < row.size(); ++c) {
-        std::printf("%s%s", c ? "," : "", row[c].c_str());
-      }
-      std::printf("\n");
-    }
-  }
-
- private:
-  std::vector<std::string> headers_;
-  std::vector<std::vector<std::string>> rows_;
-};
-
 /// Builds a BENCH_*.json object with a schema-versioned header identifying
 /// the machine and build, so result files are comparable across PRs. All
 /// string values go through JsonEscape — no hand-rolled printf JSON.
-///
-///   BenchJson json("concurrency");
-///   json.Add("workload", "ancestor tree depth 7");
-///   json.AddRaw("qps", "[{...}]");       // pre-rendered JSON value
-///   CheckOk(json.WriteFile("BENCH_parallel.json"), "write json");
+/// Tables (TablePrinter::Print) collect under "tables"; other fields keep
+/// the order they were added in.
 class BenchJson {
  public:
   explicit BenchJson(const std::string& bench_name) {
     Add("schema_version", static_cast<int64_t>(kBenchJsonSchemaVersion));
     Add("bench", bench_name);
+    Add("smoke", SmokeMode());
     Add("hardware_threads",
         static_cast<int64_t>(std::thread::hardware_concurrency()));
     Add("pool_threads",
@@ -202,16 +157,23 @@ class BenchJson {
   void AddRaw(const std::string& key, const std::string& json) {
     fields_.emplace_back(key, json);
   }
+  /// Appends a rendered table object to the "tables" array.
+  void AddTable(std::string json) { tables_.push_back(std::move(json)); }
 
   std::string Render() const {
-    std::string out = "{\n";
+    std::string out = "{";
     for (size_t i = 0; i < fields_.size(); ++i) {
-      out += "  \"" + JsonEscape(fields_[i].first) +
+      out += (i ? ",\n  \"" : "\n  \"") + JsonEscape(fields_[i].first) +
              "\": " + fields_[i].second;
-      out += i + 1 < fields_.size() ? ",\n" : "\n";
     }
-    out += "}\n";
-    return out;
+    if (!tables_.empty()) {
+      out += ",\n  \"tables\": [";
+      for (size_t i = 0; i < tables_.size(); ++i) {
+        out += (i ? ",\n    " : "\n    ") + tables_[i];
+      }
+      out += "\n  ]";
+    }
+    return out + "\n}\n";
   }
 
   Status WriteFile(const std::string& path) const {
@@ -230,128 +192,311 @@ class BenchJson {
 
  private:
   std::vector<std::pair<std::string, std::string>> fields_;
+  std::vector<std::string> tables_;
 };
 
-/// Minimal JSON syntax checker (objects, arrays, strings with escapes,
-/// numbers, booleans, null). Used by bench smoke modes to validate that the
-/// BENCH_*.json they just wrote actually parses — printf-era escaping bugs
-/// are caught in CI rather than by downstream plotting scripts.
-class JsonValidator {
+/// Bench name of a binary: its file name without the "bench_" prefix.
+inline std::string BenchName(const std::string& binary) {
+  std::string name = binary.substr(binary.find_last_of('/') + 1);
+  if (name.rfind("bench_", 0) == 0) name = name.substr(6);
+  return name;
+}
+
+/// The result file a bench binary writes into the working directory:
+/// BENCH_<name>.json for binary bench_<name>.
+inline std::string BenchFileName(const std::string& binary) {
+  return "BENCH_" + BenchName(binary) + ".json";
+}
+
+/// This binary's result object (named by ParseBenchArgs from argv[0]).
+/// Scalar fields added to it are written by the next TablePrinter::Print.
+inline BenchJson& BenchOutput() {
+  if (BinaryName().empty()) {
+    std::fprintf(stderr, "FATAL: ParseBenchArgs was not called\n");
+    std::exit(1);
+  }
+  static BenchJson json(BenchName(BinaryName()));
+  return json;
+}
+
+/// A table cell: what the console shows and the raw number BENCH JSON
+/// keeps. Build cells with Label/Count/Us/Ratio/Pct below; every cell of a
+/// column must be of one kind, which becomes the column's unit.
+enum class CellKind { kLabel, kCount, kUs, kRatio, kPct };
+
+inline const char* UnitName(CellKind kind) {
+  switch (kind) {
+    case CellKind::kLabel: return "label";
+    case CellKind::kCount: return "count";
+    case CellKind::kUs: return "us";
+    case CellKind::kRatio: return "ratio";
+    case CellKind::kPct: return "pct";
+  }
+  return "?";
+}
+
+struct Cell {
+  CellKind kind;
+  std::string text;  // console rendering
+  double value = 0;  // raw number; labels have none
+};
+
+inline Cell Label(std::string text) {
+  return {CellKind::kLabel, std::move(text)};
+}
+inline Cell Count(int64_t n) {
+  return {CellKind::kCount, std::to_string(n), static_cast<double>(n)};
+}
+/// Microseconds, shown with adaptive units (FormatUs).
+inline Cell Us(int64_t us) {
+  return {CellKind::kUs, FormatUs(us), static_cast<double>(us)};
+}
+/// Fractional microseconds, shown as a plain number (the header names the
+/// unit).
+inline Cell Us(double us, int digits) {
+  return {CellKind::kUs, FormatF(us, digits), us};
+}
+inline Cell Ratio(double v, int digits = 2) {
+  return {CellKind::kRatio, FormatF(v, digits), v};
+}
+/// A fraction, shown and stored as a percentage.
+inline Cell Pct(double fraction) {
+  return {CellKind::kPct, FormatPct(fraction), fraction * 100.0};
+}
+
+/// JSON number for a cell value; non-finite values (a ratio over a zero
+/// time) become null.
+inline std::string JsonNumber(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[48];
+  if (v == std::floor(v) && std::fabs(v) < 1e15) {
+    std::snprintf(buf, sizeof(buf), "%.0f", v);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.6g", v);
+  }
+  return buf;
+}
+
+/// Column-aligned ASCII table. Print() shows it and adds it, as raw
+/// numbers with a unit per column, to this binary's BENCH_<name>.json.
+class TablePrinter {
  public:
-  static bool Validate(const std::string& text, std::string* error) {
-    JsonValidator v(text);
-    v.SkipWs();
-    if (!v.Value()) {
-      if (error != nullptr) {
-        *error = "JSON syntax error near offset " + std::to_string(v.pos_);
-      }
-      return false;
+  explicit TablePrinter(std::vector<std::string> headers)
+      : headers_(std::move(headers)) {}
+
+  void AddRow(std::vector<Cell> cells) {
+    if (cells.size() != headers_.size() ||
+        (!rows_.empty() && !SameKinds(rows_.front(), cells))) {
+      std::fprintf(stderr, "FATAL: row does not fit table [%s ...]\n",
+                   headers_.front().c_str());
+      std::exit(1);
     }
-    v.SkipWs();
-    if (v.pos_ != text.size()) {
-      if (error != nullptr) {
-        *error = "trailing garbage at offset " + std::to_string(v.pos_);
+    rows_.push_back(std::move(cells));
+  }
+
+  void Print() const {
+    std::vector<size_t> widths(headers_.size());
+    for (size_t c = 0; c < headers_.size(); ++c) widths[c] = headers_[c].size();
+    for (const auto& row : rows_) {
+      for (size_t c = 0; c < row.size(); ++c) {
+        widths[c] = std::max(widths[c], row[c].text.size());
       }
-      return false;
+    }
+    auto print_row = [&](auto text_of) {
+      for (size_t c = 0; c < headers_.size(); ++c) {
+        std::printf("  %-*s", static_cast<int>(widths[c]), text_of(c).c_str());
+      }
+      std::printf("\n");
+    };
+    print_row([&](size_t c) { return headers_[c]; });
+    std::string rule;
+    for (size_t c = 0; c < headers_.size(); ++c) {
+      rule += std::string(widths[c], '-') + "  ";
+    }
+    std::printf("  %s\n", rule.c_str());
+    for (const auto& row : rows_) {
+      print_row([&](size_t c) { return row[c].text; });
+    }
+    BenchOutput().AddTable(ToJson());
+    const std::string path = BenchFileName(BinaryName());
+    CheckOk(BenchOutput().WriteFile(path), path.c_str());
+  }
+
+ private:
+  static bool SameKinds(const std::vector<Cell>& a,
+                        const std::vector<Cell>& b) {
+    for (size_t c = 0; c < a.size(); ++c) {
+      if (a[c].kind != b[c].kind) return false;
     }
     return true;
   }
 
+  std::string ToJson() const {
+    std::string headers;
+    std::string units;
+    for (size_t c = 0; c < headers_.size(); ++c) {
+      headers += (c ? ", \"" : "\"") + JsonEscape(headers_[c]) + "\"";
+      units += c ? ", \"" : "\"";
+      units += rows_.empty() ? "label" : UnitName(rows_.front()[c].kind);
+      units += "\"";
+    }
+    std::string out = "{\"headers\": [" + headers + "], \"units\": [" +
+                      units + "], \"rows\": [";
+    for (size_t r = 0; r < rows_.size(); ++r) {
+      out += r ? ", [" : "[";
+      for (size_t c = 0; c < rows_[r].size(); ++c) {
+        const Cell& cell = rows_[r][c];
+        if (c) out += ", ";
+        out += cell.kind == CellKind::kLabel
+                   ? "\"" + JsonEscape(cell.text) + "\""
+                   : JsonNumber(cell.value);
+      }
+      out += "]";
+    }
+    return out + "]}";
+  }
+
+  std::vector<std::string> headers_;
+  std::vector<std::vector<Cell>> rows_;
+};
+
+/// Minimal JSON value tree, for reading BENCH_*.json files back.
+struct JsonValue {
+  enum Kind { kNull, kBool, kNumber, kString, kArray, kObject };
+  Kind kind = kNull;
+  bool boolean = false;
+  double number = 0;
+  std::string string;
+  std::vector<JsonValue> items;                           // kArray
+  std::vector<std::pair<std::string, JsonValue>> fields;  // kObject
+
+  const JsonValue* Find(const std::string& key) const {
+    for (const auto& [k, v] : fields) {
+      if (k == key) return &v;
+    }
+    return nullptr;
+  }
+};
+
+/// The one JSON reader of the bench suite: a file is valid when it parses.
+class JsonParser {
+ public:
+  static bool Parse(const std::string& text, JsonValue* out) {
+    JsonParser p(text);
+    if (!p.Value(out)) return false;
+    p.SkipWs();
+    return p.pos_ == text.size();
+  }
+
  private:
-  explicit JsonValidator(const std::string& text) : text_(text) {}
+  explicit JsonParser(const std::string& text) : text_(text) {}
 
   void SkipWs() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
+    while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\t' ||
+                                   text_[pos_] == '\n' || text_[pos_] == '\r')) {
       ++pos_;
     }
   }
   bool Eat(char c) {
+    SkipWs();
     if (pos_ < text_.size() && text_[pos_] == c) {
       ++pos_;
       return true;
     }
     return false;
   }
-  bool Literal(const char* word) {
-    size_t n = std::string(word).size();
-    if (text_.compare(pos_, n, word) == 0) {
-      pos_ += n;
-      return true;
-    }
-    return false;
-  }
-  bool String() {
+  bool String(std::string* out) {
     if (!Eat('"')) return false;
+    out->clear();
     while (pos_ < text_.size()) {
       char c = text_[pos_++];
       if (c == '"') return true;
       if (static_cast<unsigned char>(c) < 0x20) return false;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return false;
-        char esc = text_[pos_++];
-        if (esc == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            if (pos_ >= text_.size() || !std::isxdigit(static_cast<unsigned char>(text_[pos_]))) return false;
-            ++pos_;
+      if (c != '\\') {
+        out->push_back(c);
+        continue;
+      }
+      if (pos_ >= text_.size()) return false;
+      char esc = text_[pos_++];
+      switch (esc) {
+        case 'n': out->push_back('\n'); break;
+        case 't': out->push_back('\t'); break;
+        case 'r': out->push_back('\r'); break;
+        case 'b': out->push_back('\b'); break;
+        case 'f': out->push_back('\f'); break;
+        case '"': case '\\': case '/': out->push_back(esc); break;
+        case 'u':
+          // Bench cells are ASCII; keep a placeholder rather than decoding.
+          for (int i = 0; i < 4; ++i, ++pos_) {
+            if (pos_ >= text_.size() ||
+                !std::isxdigit(static_cast<unsigned char>(text_[pos_]))) {
+              return false;
+            }
           }
-        } else if (std::string("\"\\/bfnrt").find(esc) == std::string::npos) {
-          return false;
-        }
+          out->push_back('?');
+          break;
+        default: return false;
       }
     }
     return false;
   }
-  bool Number() {
-    size_t start = pos_;
-    if (Eat('-')) {
-    }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    return pos_ > start && std::isdigit(static_cast<unsigned char>(text_[pos_ - 1]));
-  }
-  bool Value() {
+  bool Value(JsonValue* out) {
     SkipWs();
     if (pos_ >= text_.size()) return false;
     char c = text_[pos_];
-    if (c == '{') return Object();
-    if (c == '[') return Array();
-    if (c == '"') return String();
-    if (c == 't') return Literal("true");
-    if (c == 'f') return Literal("false");
-    if (c == 'n') return Literal("null");
-    return Number();
-  }
-  bool Object() {
-    if (!Eat('{')) return false;
-    SkipWs();
-    if (Eat('}')) return true;
-    while (true) {
-      SkipWs();
-      if (!String()) return false;
-      SkipWs();
-      if (!Eat(':')) return false;
-      if (!Value()) return false;
-      SkipWs();
+    if (c == '{') {
+      out->kind = JsonValue::kObject;
+      ++pos_;
       if (Eat('}')) return true;
-      if (!Eat(',')) return false;
+      while (true) {
+        std::string key;
+        if (!String(&key)) return false;
+        if (!Eat(':')) return false;
+        JsonValue v;
+        if (!Value(&v)) return false;
+        out->fields.emplace_back(std::move(key), std::move(v));
+        if (Eat('}')) return true;
+        if (!Eat(',')) return false;
+      }
     }
-  }
-  bool Array() {
-    if (!Eat('[')) return false;
-    SkipWs();
-    if (Eat(']')) return true;
-    while (true) {
-      if (!Value()) return false;
-      SkipWs();
+    if (c == '[') {
+      out->kind = JsonValue::kArray;
+      ++pos_;
       if (Eat(']')) return true;
-      if (!Eat(',')) return false;
+      while (true) {
+        JsonValue v;
+        if (!Value(&v)) return false;
+        out->items.push_back(std::move(v));
+        if (Eat(']')) return true;
+        if (!Eat(',')) return false;
+      }
     }
+    if (c == '"') {
+      out->kind = JsonValue::kString;
+      return String(&out->string);
+    }
+    if (text_.compare(pos_, 4, "true") == 0) {
+      out->kind = JsonValue::kBool;
+      out->boolean = true;
+      pos_ += 4;
+      return true;
+    }
+    if (text_.compare(pos_, 5, "false") == 0) {
+      out->kind = JsonValue::kBool;
+      pos_ += 5;
+      return true;
+    }
+    if (text_.compare(pos_, 4, "null") == 0) {
+      pos_ += 4;
+      return true;
+    }
+    if (c != '-' && !std::isdigit(static_cast<unsigned char>(c))) return false;
+    char* end = nullptr;
+    out->number = std::strtod(text_.c_str() + pos_, &end);
+    if (end == text_.c_str() + pos_) return false;
+    out->kind = JsonValue::kNumber;
+    pos_ = static_cast<size_t>(end - text_.c_str());
+    return true;
   }
 
   const std::string& text_;

@@ -9,13 +9,12 @@
 // ~50x larger database. Epoch-pinned sessions are O(metadata), so the two
 // columns should be close; before this design the open cloned the whole
 // database and scaled with its size.
-//
-// Writes BENCH_wal.json (folded into BENCH_paper.json under "wal").
 
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -31,13 +30,11 @@ int64_t NowUs() {
       .count();
 }
 
-/// A scratch wal_dir wiped of any previous run's log and checkpoint.
-std::string FreshWalDir(const std::string& tag) {
-  std::string dir = "/tmp/dkb_bench_wal_" + tag + "_" +
-                    std::to_string(static_cast<long long>(::getpid()));
-  std::remove((dir + "/dkb.wal").c_str());
-  std::remove((dir + "/dkb.ckpt").c_str());
-  return dir;
+/// This process's scratch wal_dir for one configuration; removed again once
+/// the configuration is measured.
+std::string WalDir(const std::string& tag) {
+  return "/tmp/dkb_bench_wal_" + tag + "_" +
+         std::to_string(static_cast<long long>(::getpid()));
 }
 
 std::unique_ptr<testbed::Testbed> MakeWriteTarget(
@@ -48,7 +45,7 @@ std::unique_ptr<testbed::Testbed> MakeWriteTarget(
   return tb;
 }
 
-void RunCommitLatency(BenchJson* json) {
+void RunCommitLatency() {
   struct Config {
     const char* name;
     bool wal;
@@ -64,12 +61,11 @@ void RunCommitLatency(BenchJson* json) {
   const int kReps = Reps(200, 10);
 
   TablePrinter table({"config", "commit_p50", "commits"});
-  std::string results = "[";
-  int n = 0;
   for (const Config& cfg : kConfigs) {
     testbed::TestbedOptions options;
+    const std::string wal_dir = WalDir(cfg.name);
     if (cfg.wal) {
-      options.WithWalDir(FreshWalDir(cfg.name))
+      options.WithWalDir(wal_dir)
           .WithWalFsync(cfg.fsync)
           .WithWalGroupCommit(cfg.group_commit);
     }
@@ -81,17 +77,15 @@ void RunCommitLatency(BenchJson* json) {
       CheckOk(tb->AddFacts("parent", {{Value(who), Value("c")}}), "AddFacts");
       return NowUs() - start;
     });
-    table.AddRow({cfg.name, FormatUs(p50), std::to_string(kReps)});
-    results += std::string(n ? ", " : "") + "{\"config\": \"" + cfg.name +
-               "\", \"commit_p50_us\": " + std::to_string(p50) + "}";
-    ++n;
+    table.AddRow({Label(cfg.name), Us(p50), Count(kReps)});
+    tb.reset();
+    std::error_code ignored;
+    std::filesystem::remove_all(wal_dir, ignored);
   }
   table.Print();
-  results += "]";
-  json->AddRaw("commit_latency", results);
 }
 
-void RunSessionOpen(BenchJson* json) {
+void RunSessionOpen() {
   const int kSmallDepth = 6;                    // 62 edges
   const int kBigDepth = SmokeSize(12, 7);       // 4094 edges full-size
   const int kReps = Reps(25, 5);
@@ -125,30 +119,20 @@ void RunSessionOpen(BenchJson* json) {
   int64_t small_oq = open_cost(small.get());
   int64_t big_oq = open_cost(big.get());
 
-  TablePrinter table({"database", "edges", "open_p50", "open_plus_query"});
-  table.AddRow({"small", std::to_string((1 << kSmallDepth) - 2),
-                FormatUs(small_open), FormatUs(small_oq)});
-  table.AddRow({"big", std::to_string((1 << kBigDepth) - 2),
-                FormatUs(big_open), FormatUs(big_oq)});
-  table.Print();
   const double ratio = small_open > 0
                            ? static_cast<double>(big_open) / small_open
                            : 0.0;
+  BenchOutput().Add("open_ratio", ratio);
+  TablePrinter table({"database", "edges", "open_p50", "open_plus_query"});
+  table.AddRow({Label("small"), Count((1 << kSmallDepth) - 2),
+                Us(small_open), Us(small_oq)});
+  table.AddRow({Label("big"), Count((1 << kBigDepth) - 2), Us(big_open),
+                Us(big_oq)});
+  table.Print();
   std::printf("\nopen ratio big/small = %s (O(1) open => ~1.0; O(database) "
               "would track the ~%dx data ratio)\n",
               FormatF(ratio, 2).c_str(),
               ((1 << kBigDepth) - 2) / ((1 << kSmallDepth) - 2));
-
-  json->AddRaw(
-      "session_open",
-      std::string("{\"small_edges\": ") +
-          std::to_string((1 << kSmallDepth) - 2) +
-          ", \"big_edges\": " + std::to_string((1 << kBigDepth) - 2) +
-          ", \"small_open_us\": " + std::to_string(small_open) +
-          ", \"big_open_us\": " + std::to_string(big_open) +
-          ", \"small_open_query_us\": " + std::to_string(small_oq) +
-          ", \"big_open_query_us\": " + std::to_string(big_oq) +
-          ", \"open_ratio\": " + FormatF(ratio, 4) + "}");
 }
 
 void Run() {
@@ -158,11 +142,9 @@ void Run() {
          "group commit amortizes the fsync floor across writers; session "
          "open is O(metadata), independent of database size");
 
-  BenchJson json("wal");
-  RunCommitLatency(&json);
+  RunCommitLatency();
   std::printf("\n");
-  RunSessionOpen(&json);
-  CheckOk(json.WriteFile("BENCH_wal.json"), "write BENCH_wal.json");
+  RunSessionOpen();
 }
 
 }  // namespace

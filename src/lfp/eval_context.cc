@@ -50,21 +50,6 @@ Result<int64_t> EvalContext::TermCount(const std::string& count_sql) {
   return db_->QueryCount(count_sql);
 }
 
-Status EvalContext::TermPrepared(PreparedStatement* stmt) {
-  ScopedAccumulator acc(&stats_->t_term_us);
-  return stmt->Execute().status();
-}
-
-Result<int64_t> EvalContext::TermCountPrepared(PreparedStatement* count_stmt) {
-  ScopedAccumulator acc(&stats_->t_term_us);
-  DKB_ASSIGN_OR_RETURN(QueryResult result, count_stmt->Execute());
-  if (result.rows.empty() || result.rows[0].empty() ||
-      !result.rows[0][0].is_int()) {
-    return Status::Internal("termination count returned no integer");
-  }
-  return result.rows[0][0].as_int();
-}
-
 Status EvalContext::CreateLike(const std::string& name,
                                const km::PredicateBinding& binding) {
   // A failed earlier run may have leaked the temp table; recreate cleanly.

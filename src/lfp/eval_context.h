@@ -41,11 +41,6 @@ class EvalContext {
   Status Term(const std::string& sql);
   Result<int64_t> TermCount(const std::string& count_sql);
 
-  /// Prepared-statement variants for per-iteration termination work: the
-  /// statement is parsed once (Database::Prepare) and re-executed here.
-  Status TermPrepared(PreparedStatement* stmt);
-  Result<int64_t> TermCountPrepared(PreparedStatement* count_stmt);
-
   /// CREATE TABLE `name` with the column layout of `binding`.
   Status CreateLike(const std::string& name,
                     const km::PredicateBinding& binding);

@@ -295,13 +295,4 @@ Result<QueryResult> ExecuteProgram(Database* db,
   return answer;
 }
 
-Result<QueryResult> ExecuteProgram(Database* db,
-                                   const km::QueryProgram& program,
-                                   LfpStrategy strategy,
-                                   ExecutionStats* stats) {
-  EvalOptions options;
-  options.strategy = strategy;
-  return ExecuteProgram(db, program, options, stats);
-}
-
 }  // namespace dkb::lfp

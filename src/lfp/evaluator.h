@@ -81,12 +81,6 @@ Result<QueryResult> ExecuteProgram(Database* db,
                                    const EvalOptions& options,
                                    ExecutionStats* stats);
 
-/// Back-compat entry point: serial evaluation with `strategy`.
-Result<QueryResult> ExecuteProgram(Database* db,
-                                   const km::QueryProgram& program,
-                                   LfpStrategy strategy,
-                                   ExecutionStats* stats);
-
 }  // namespace dkb::lfp
 
 #endif  // DKB_LFP_EVALUATOR_H_
