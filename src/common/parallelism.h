@@ -29,8 +29,9 @@ struct ParallelismPolicy {
   /// the pool; below it the serial path runs.
   size_t seq_scan_min_rows = 8192;
   /// Minimum rows before a hash table is built hash-partitioned on the
-  /// pool: a hash join's build side, and the semi-naive termination diff's
-  /// `full` + `new` inputs (lfp::EvalContext::DiffInto).
+  /// pool: a hash join's build side, and the rows one semi-naive
+  /// termination step hashes — the not yet indexed part of `full` plus
+  /// `new` (lfp::EvalContext::AbsorbNew).
   size_t hash_build_min_rows = 8192;
   /// Rows per scan morsel.
   size_t morsel_rows = 4096;

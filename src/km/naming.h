@@ -10,7 +10,8 @@ namespace dkb::km {
 ///
 /// Base (EDB) predicate p   -> table  edb_p   (columns c0..c{k-1})
 /// Derived (IDB) predicate p -> table idb_p   (columns c0..c{k-1})
-/// Run-time temporaries      -> #p_delta / #p_prev / #p_new / #p_diff
+/// Run-time temporaries      -> #p_delta / #p_new / #p_prev (semi-naive),
+///                               #p_new / #p_diff (naive)
 
 inline std::string EdbTableName(const std::string& pred) {
   return "edb_" + pred;

@@ -1,34 +1,13 @@
 #include "lfp/eval_context.h"
 
-#include <unordered_set>
-
 #include "common/parallelism.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 
 namespace dkb::lfp {
 
-namespace {
-
-/// A row of a Table referenced in place, with its hash computed once. Slot
-/// addresses are stable and neither diff input is written during the diff,
-/// so the pointer stays valid for the whole termination step.
-struct RowRef {
-  size_t hash = 0;
-  const Tuple* row = nullptr;  // null: slot not visible at the read epoch
-};
-
-struct RowRefHash {
-  size_t operator()(const RowRef& r) const { return r.hash; }
-};
-
-struct RowRefEq {
-  bool operator()(const RowRef& a, const RowRef& b) const {
-    return *a.row == *b.row;
-  }
-};
-
-}  // namespace
+KnownRows::KnownRows()
+    : parts_(GlobalThreadPool().num_threads() + 1) {}
 
 Status EvalContext::Temp(const std::string& sql) {
   ScopedAccumulator acc(&stats_->t_temp_us);
@@ -131,88 +110,107 @@ Status EvalContext::CopyTable(const std::string& dst, const std::string& src) {
   return Status::OK();
 }
 
-Result<int64_t> EvalContext::DiffInto(const std::string& diff,
-                                      const std::string& new_table,
-                                      const std::string& full) {
-  ScopedAccumulator acc(&stats_->t_term_us);
-  DKB_ASSIGN_OR_RETURN(Table * dst, db_->catalog().GetSource(diff));
-  DKB_ASSIGN_OR_RETURN(const Table* src_new,
-                       db_->catalog().GetSource(new_table));
-  DKB_ASSIGN_OR_RETURN(const Table* src_full,
-                       db_->catalog().GetSource(full));
-  const Epoch at = db_->catalog().read_epoch();
-
-  // P hash partitions: a row's partition is its hash mod P, so identical
-  // rows always meet in the same partition and each partition's seen-set
-  // decides their fate alone. Small inputs (the hash-join build threshold)
-  // and a pool-less process take P = 1, which is the serial diff.
-  ThreadPool& pool = GlobalThreadPool();
-  const size_t input_rows = src_full->num_tuples() + src_new->num_tuples();
-  const size_t parts =
-      pool.num_threads() == 0 ||
-              input_rows < GlobalParallelismPolicy().hash_build_min_rows
-          ? 1
-          : pool.num_threads() + 1;
-  const auto for_each = [&](size_t n, const auto& fn, size_t min_chunk) {
-    if (parts == 1) {
-      for (size_t i = 0; i < n; ++i) fn(i);
-    } else {
-      pool.ParallelFor(0, n, fn, min_chunk);
+Result<int64_t> EvalContext::AbsorbNew(const std::string& delta,
+                                       const std::string& new_table,
+                                       const std::string& full,
+                                       KnownRows* known) {
+  using RowRef = KnownRows::RowRef;
+  std::vector<RowRef> new_refs;
+  std::vector<uint8_t> survives;
+  Table* dst_full = nullptr;
+  {
+    ScopedAccumulator acc(&stats_->t_term_us);
+    DKB_ASSIGN_OR_RETURN(dst_full, db_->catalog().GetSource(full));
+    DKB_ASSIGN_OR_RETURN(const Table* src_new,
+                         db_->catalog().GetSource(new_table));
+    const Epoch at = db_->catalog().read_epoch();
+    const size_t first = known->indexed_slots_;
+    const size_t full_slots = dst_full->num_slots();
+    if (full_slots < first) {
+      return Status::Internal("semi-naive relation " + full + " shrank");
     }
-  };
 
-  // Reference and hash every visible row of both inputs in place; interned
-  // VARCHARs make hashing and equality O(1) per value.
-  const auto refs_of = [&](const Table& table) {
-    std::vector<RowRef> refs(table.num_slots());
+    // A row's partition is its hash mod P, so each partition's seen-set
+    // decides the fate of its rows alone. Small inputs (the hash-join
+    // build threshold) and a pool-less process run the partitions one
+    // after another, which is the serial pass.
+    ThreadPool& pool = GlobalThreadPool();
+    const size_t parts = known->parts_.size();
+    const bool concurrent =
+        parts > 1 && pool.num_threads() > 0 &&
+        full_slots - first + src_new->num_slots() >=
+            GlobalParallelismPolicy().hash_build_min_rows;
+    const auto for_each = [&](size_t n, const auto& fn, size_t min_chunk) {
+      if (concurrent) {
+        pool.ParallelFor(0, n, fn, min_chunk);
+      } else {
+        for (size_t i = 0; i < n; ++i) fn(i);
+      }
+    };
+
+    // Reference and hash, in place, the visible rows of `full` not yet
+    // indexed and every visible row of `new`; interned VARCHARs make
+    // hashing and equality O(1) per value.
+    const auto refs_of = [&](const Table& table, size_t begin, size_t end) {
+      std::vector<RowRef> refs(end - begin);
+      for_each(
+          refs.size(),
+          [&](size_t i) {
+            if (!table.VisibleAt(begin + i, at)) return;
+            refs[i].row = &table.Get(begin + i);
+            refs[i].hash = HashTuple(*refs[i].row);
+          },
+          /*min_chunk=*/1024);
+      return refs;
+    };
+    const std::vector<RowRef> catch_up = refs_of(*dst_full, first, full_slots);
+    new_refs = refs_of(*src_new, 0, src_new->num_slots());
+
+    // Each partition indexes its share of the catch-up rows, then walks
+    // `new` in scan order: the first copy of each row not already known
+    // survives, exactly as in one serial pass. Rows of `new` go into a
+    // per-call set only: they reach the persistent one through `full`.
+    survives.assign(new_refs.size(), 0);
     for_each(
-        refs.size(),
-        [&](size_t rid) {
-          if (!table.VisibleAt(rid, at)) return;
-          refs[rid].row = &table.Get(rid);
-          refs[rid].hash = HashTuple(*refs[rid].row);
+        parts,
+        [&](size_t p) {
+          KnownRows::RowRefSet& seen = known->parts_[p];
+          for (const RowRef& r : catch_up) {
+            if (r.row != nullptr && r.hash % parts == p) seen.insert(r);
+          }
+          KnownRows::RowRefSet fresh;
+          for (size_t i = 0; i < new_refs.size(); ++i) {
+            const RowRef& r = new_refs[i];
+            if (r.row == nullptr || r.hash % parts != p) continue;
+            if (seen.count(r) == 0 && fresh.insert(r).second) survives[i] = 1;
+          }
         },
-        /*min_chunk=*/1024);
-    return refs;
-  };
-  const std::vector<RowRef> full_refs = refs_of(*src_full);
-  const std::vector<RowRef> new_refs = refs_of(*src_new);
+        /*min_chunk=*/1);
+    known->indexed_slots_ = full_slots;
+  }
 
-  // Each partition seeds its seen-set with its share of the accumulated
-  // relation, then walks `new` in scan order: the first copy of each row
-  // not already known survives, exactly as in one serial pass.
-  std::vector<uint8_t> survives(new_refs.size(), 0);
-  for_each(
-      parts,
-      [&](size_t p) {
-        std::unordered_set<RowRef, RowRefHash, RowRefEq> seen;
-        seen.reserve((full_refs.size() + new_refs.size()) / parts);
-        for (const RowRef& r : full_refs) {
-          if (r.row != nullptr && r.hash % parts == p) seen.insert(r);
-        }
-        for (size_t i = 0; i < new_refs.size(); ++i) {
-          const RowRef& r = new_refs[i];
-          if (r.row == nullptr || r.hash % parts != p) continue;
-          if (seen.insert(r).second) survives[i] = 1;
-        }
-      },
-      /*min_chunk=*/1);
-
-  // Survivors are appended in `new`-scan order for every P, so the diff
-  // table's contents and order do not depend on the partition count.
+  // Survivors are appended in `new`-scan order for every P, so `delta`
+  // and `full` do not depend on the partition count. They join the
+  // seen-set at the next call's catch-up.
+  ScopedAccumulator acc(&stats_->t_temp_us);
+  DKB_ASSIGN_OR_RETURN(Table * dst_delta, db_->catalog().GetSource(delta));
+  dst_delta->Clear();
   int64_t appended = 0;
   RowBatch out;
-  out.Reset(dst->schema().num_columns());
+  out.Reset(dst_full->schema().num_columns());
+  const auto flush = [&]() -> Status {
+    DKB_RETURN_IF_ERROR(dst_delta->AppendBatch(out));
+    DKB_RETURN_IF_ERROR(dst_full->AppendBatch(out));
+    out.Reset(dst_full->schema().num_columns());
+    return Status::OK();
+  };
   for (size_t i = 0; i < new_refs.size(); ++i) {
     if (survives[i] == 0) continue;
     out.AppendRow(*new_refs[i].row);
     ++appended;
-    if (out.full()) {
-      DKB_RETURN_IF_ERROR(dst->AppendBatch(out));
-      out.Reset(dst->schema().num_columns());
-    }
+    if (out.full()) DKB_RETURN_IF_ERROR(flush());
   }
-  if (!out.empty()) DKB_RETURN_IF_ERROR(dst->AppendBatch(out));
+  if (!out.empty()) DKB_RETURN_IF_ERROR(flush());
   return appended;
 }
 

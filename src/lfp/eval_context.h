@@ -1,7 +1,9 @@
 #ifndef DKB_LFP_EVAL_CONTEXT_H_
 #define DKB_LFP_EVAL_CONTEXT_H_
 
+#include <algorithm>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/trace.h"
@@ -10,6 +12,43 @@
 #include "rdbms/database.h"
 
 namespace dkb::lfp {
+
+/// The rows of one clique predicate's accumulated relation `full` that a
+/// semi-naive evaluation has already seen, kept for the whole clique
+/// evaluation (see EvalContext::AbsorbNew). Rows are referenced in place
+/// with their hash computed once: Table slot addresses are stable across
+/// appends, and `full` only grows while the clique runs. The references
+/// are split into a fixed number of hash partitions (row hash mod P) so
+/// the partitions can be probed concurrently; identical rows always meet
+/// in one partition.
+class KnownRows {
+ public:
+  /// P = the global pool's workers + 1, or 1 when it has no workers.
+  KnownRows();
+  explicit KnownRows(size_t partitions)
+      : parts_(std::max<size_t>(partitions, 1)) {}
+
+ private:
+  friend class EvalContext;
+
+  struct RowRef {
+    size_t hash = 0;
+    const Tuple* row = nullptr;  // null: slot not visible at the read epoch
+  };
+  struct RowRefHash {
+    size_t operator()(const RowRef& r) const { return r.hash; }
+  };
+  struct RowRefEq {
+    bool operator()(const RowRef& a, const RowRef& b) const {
+      return *a.row == *b.row;
+    }
+  };
+  using RowRefSet = std::unordered_set<RowRef, RowRefHash, RowRefEq>;
+
+  std::vector<RowRefSet> parts_;
+  /// Slots [0, indexed_slots_) of `full` are in parts_.
+  size_t indexed_slots_ = 0;
+};
 
 /// Shared machinery for the SQL-driven evaluators: executes statements
 /// against the DBMS and attributes wall-clock time to the paper's cost
@@ -71,20 +110,21 @@ class EvalContext {
   /// Table::ScanBatch/AppendBatch (temp-management bucket).
   Status CopyTable(const std::string& dst, const std::string& src);
 
-  /// Batch-native semi-naive termination step: appends to `diff` every
-  /// distinct row of `new_table` not already in `full`, in `new_table` scan
-  /// order, and returns how many were appended. Dedup runs over hash sets
-  /// of in-place row references keyed on interned values — the O(1)-hash
-  /// replacement for the prepared
-  /// `INSERT INTO diff (SELECT * FROM new) EXCEPT (SELECT * FROM full)`
-  /// + COUNT(*) statement pair (termination bucket). When `full` and `new`
-  /// together hold at least ParallelismPolicy::hash_build_min_rows rows and
-  /// the global pool has workers, the rows are hash-partitioned into
-  /// (workers + 1) partitions deduplicated concurrently; the result is
-  /// identical to the serial pass.
-  Result<int64_t> DiffInto(const std::string& diff,
-                           const std::string& new_table,
-                           const std::string& full);
+  /// Batch-native semi-naive termination step and delta update in one:
+  /// clears `delta`, then appends every distinct row of `new_table` that
+  /// `known` has not seen to both `delta` and `full`, in `new_table` scan
+  /// order, and returns how many were appended. `known` indexes `full`
+  /// across calls: each call first catches up on the slots of `full`
+  /// appended since the last one (on the first call, the exit rules'
+  /// result; after that, the last delta), so an iteration hashes O(|new| +
+  /// |delta|) rows instead of all of `full`. Hashing and probing go to the
+  /// termination bucket, the appends to temp management. When the rows to
+  /// hash reach ParallelismPolicy::hash_build_min_rows and `known` has
+  /// several partitions, the partitions are deduplicated concurrently; the
+  /// result is identical to the serial pass.
+  Result<int64_t> AbsorbNew(const std::string& delta,
+                            const std::string& new_table,
+                            const std::string& full, KnownRows* known);
 
   Status Drop(const std::string& name);
 

@@ -1,6 +1,7 @@
 #include "lfp/seminaive.h"
 
 #include <set>
+#include <vector>
 
 #include "km/naming.h"
 #include "km/rule_sql.h"
@@ -15,15 +16,35 @@ Result<int64_t> EvaluateCliqueSemiNaive(EvalContext* ctx,
                                       node.predicates.end());
   const std::string np = "#n" + std::to_string(node_index);
 
-  // Temp tables per member: delta, prev (value before the last delta was
-  // merged), new (variant union), diff (new delta / termination check).
+  // A rule is non-linear when two or more of its body atoms are clique
+  // members; only its differential variants read `prev`.
+  const auto member_positions = [&members](const datalog::Rule& rule) {
+    std::vector<size_t> positions;
+    for (size_t i = 0; i < rule.body.size(); ++i) {
+      if (!rule.body[i].negated && members.count(rule.body[i].predicate) > 0) {
+        positions.push_back(i);
+      }
+    }
+    return positions;
+  };
+  bool needs_prev = false;
+  for (const datalog::Rule& rule : node.recursive_rules) {
+    if (member_positions(rule).size() >= 2) needs_prev = true;
+  }
+
+  // Temp tables per member: delta (the last iteration's new tuples), new
+  // (variant union), and for non-linear cliques prev (the relation before
+  // the last delta was merged). Each member's seen-set indexes its
+  // accumulated relation for the whole evaluation.
   for (const std::string& p : node.predicates) {
     const km::PredicateBinding& b = program.bindings.at(p);
     DKB_RETURN_IF_ERROR(ctx->CreateLike(km::DeltaTableName(p), b));
-    DKB_RETURN_IF_ERROR(ctx->CreateLike(km::PrevTableName(p), b));
     DKB_RETURN_IF_ERROR(ctx->CreateLike(km::NewTableName(p), b));
-    DKB_RETURN_IF_ERROR(ctx->CreateLike(km::DiffTableName(p), b));
+    if (needs_prev) {
+      DKB_RETURN_IF_ERROR(ctx->CreateLike(km::PrevTableName(p), b));
+    }
   }
+  std::vector<KnownRows> known(node.predicates.size());
 
   // Canonical resolver for exit rules with negated atoms.
   km::BindingResolver canonical =
@@ -57,11 +78,6 @@ Result<int64_t> EvaluateCliqueSemiNaive(EvalContext* ctx,
         ctx->CopyTable(km::DeltaTableName(p), program.bindings.at(p).table));
   }
 
-  // The per-iteration termination step (diff := new - full, plus its count)
-  // runs batch-native through EvalContext::DiffInto — a hash-set difference
-  // keyed on interned values — instead of the prepared
-  // INSERT ... EXCEPT + COUNT(*) statement pair of the SQL-driven engine.
-
   int64_t iterations = 0;
   while (true) {
     ++iterations;
@@ -77,14 +93,7 @@ Result<int64_t> EvaluateCliqueSemiNaive(EvalContext* ctx,
     size_t rule_counter = 0;
     for (const datalog::Rule& rule : node.recursive_rules) {
       ++rule_counter;
-      std::vector<size_t> member_positions;
-      for (size_t i = 0; i < rule.body.size(); ++i) {
-        if (!rule.body[i].negated &&
-            members.count(rule.body[i].predicate) > 0) {
-          member_positions.push_back(i);
-        }
-      }
-      for (size_t delta_pos : member_positions) {
+      for (size_t delta_pos : member_positions(rule)) {
         km::BindingResolver resolver =
             [&program, &members, delta_pos](
                 const datalog::Atom& atom,
@@ -110,39 +119,33 @@ Result<int64_t> EvaluateCliqueSemiNaive(EvalContext* ctx,
       }
     }
 
-    // New delta + termination check: diff = new - accumulated.
+    // prev := prev + delta (= the relation before this iteration's
+    // merge, since full = prev + delta); then delta := new - full and
+    // full += delta, which is also the termination check.
     bool changed = false;
     int64_t delta_total = 0;
-    for (const std::string& p : node.predicates) {
-      DKB_RETURN_IF_ERROR(ctx->ClearTable(km::DiffTableName(p)));
+    for (size_t i = 0; i < node.predicates.size(); ++i) {
+      const std::string& p = node.predicates[i];
+      if (needs_prev) {
+        DKB_RETURN_IF_ERROR(
+            ctx->CopyTable(km::PrevTableName(p), km::DeltaTableName(p)));
+      }
       DKB_ASSIGN_OR_RETURN(
           int64_t cnt,
-          ctx->DiffInto(km::DiffTableName(p), km::NewTableName(p),
-                        program.bindings.at(p).table));
+          ctx->AbsorbNew(km::DeltaTableName(p), km::NewTableName(p),
+                         program.bindings.at(p).table, &known[i]));
       if (cnt > 0) changed = true;
       delta_total += cnt;
     }
     ctx->delta_sizes().push_back(delta_total);
     iter_span.Tag("delta", delta_total);
     if (!changed) break;
-
-    // prev := full; full += diff; delta := diff.
-    for (const std::string& p : node.predicates) {
-      const km::PredicateBinding& b = program.bindings.at(p);
-      DKB_RETURN_IF_ERROR(ctx->ClearTable(km::PrevTableName(p)));
-      DKB_RETURN_IF_ERROR(ctx->CopyTable(km::PrevTableName(p), b.table));
-      DKB_RETURN_IF_ERROR(ctx->CopyTable(b.table, km::DiffTableName(p)));
-      DKB_RETURN_IF_ERROR(ctx->ClearTable(km::DeltaTableName(p)));
-      DKB_RETURN_IF_ERROR(
-          ctx->CopyTable(km::DeltaTableName(p), km::DiffTableName(p)));
-    }
   }
 
   for (const std::string& p : node.predicates) {
     DKB_RETURN_IF_ERROR(ctx->Drop(km::DeltaTableName(p)));
-    DKB_RETURN_IF_ERROR(ctx->Drop(km::PrevTableName(p)));
     DKB_RETURN_IF_ERROR(ctx->Drop(km::NewTableName(p)));
-    DKB_RETURN_IF_ERROR(ctx->Drop(km::DiffTableName(p)));
+    if (needs_prev) DKB_RETURN_IF_ERROR(ctx->Drop(km::PrevTableName(p)));
   }
   return iterations;
 }

@@ -187,7 +187,9 @@ TEST(WireCodecTest, TruncatedResultSetFailsCleanly) {
     WireResultSet out;
     // Either the decode fails, or it succeeded on a prefix that did not
     // consume everything we cut — never a crash, never a bogus Done().
-    if (DecodeResultSet(&r, &out)) EXPECT_FALSE(cut < bytes.size() && r.Done());
+    if (DecodeResultSet(&r, &out)) {
+      EXPECT_FALSE(cut < bytes.size() && r.Done());
+    }
   }
 }
 
