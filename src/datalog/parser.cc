@@ -271,16 +271,18 @@ class ClauseParser {
     return Status::OK();
   }
 
-  /// Span from `begin` to the current position; line computed on demand
-  /// (program texts are small, so the rescan is cheap).
-  SourceSpan SpanFrom(size_t begin) const {
+  /// Span from `begin` to the current position. The line counter only
+  /// moves forward, from the previous clause's start to this one's, so a
+  /// whole program is scanned for newlines once; clause starts never
+  /// decrease.
+  SourceSpan SpanFrom(size_t begin) {
+    for (; line_pos_ < begin && line_pos_ < in_.size(); ++line_pos_) {
+      if (in_[line_pos_] == '\n') ++line_;
+    }
     SourceSpan span;
     span.begin = begin;
     span.end = pos_;
-    span.line = 1;
-    for (size_t i = 0; i < begin && i < in_.size(); ++i) {
-      if (in_[i] == '\n') ++span.line;
-    }
+    span.line = line_;
     return span;
   }
 
@@ -291,6 +293,8 @@ class ClauseParser {
 
   const std::string& in_;
   size_t pos_ = 0;
+  int line_ = 1;          // line of offset line_pos_
+  size_t line_pos_ = 0;   // newlines before this offset are in line_
 };
 
 }  // namespace

@@ -123,10 +123,10 @@ Result<std::string> HeadProjection(const datalog::Rule& rule,
   return out;
 }
 
-}  // namespace
-
-Result<std::string> RuleToSelect(const datalog::Rule& rule,
-                                 const BindingResolver& resolver) {
+/// "<head projection> FROM <positive atoms> WHERE <conjuncts>": the body of
+/// a negation-free rule's SELECT, without its SELECT keyword or DISTINCT.
+Result<std::string> PositiveProjection(const datalog::Rule& rule,
+                                       const BindingResolver& resolver) {
   if (rule.body.empty()) {
     return Status::InvalidArgument("cannot translate bodiless clause " +
                                    rule.ToString() + " to SQL");
@@ -139,14 +139,23 @@ Result<std::string> RuleToSelect(const datalog::Rule& rule,
   }
   DKB_ASSIGN_OR_RETURN(PositivePart part, AnalyzePositive(rule, resolver));
   DKB_ASSIGN_OR_RETURN(std::string head, HeadProjection(rule, part));
-  return "SELECT DISTINCT " + head + " FROM " + part.from +
-         WhereClause(part.conjuncts);
+  return head + " FROM " + part.from + WhereClause(part.conjuncts);
+}
+
+}  // namespace
+
+Result<std::string> RuleToSelect(const datalog::Rule& rule,
+                                 const BindingResolver& resolver) {
+  DKB_ASSIGN_OR_RETURN(std::string projection,
+                       PositiveProjection(rule, resolver));
+  return "SELECT DISTINCT " + projection;
 }
 
 Result<RuleSqlProgram> RuleToSqlProgram(const datalog::Rule& rule,
                                         const BindingResolver& resolver,
                                         const std::string& target_table,
-                                        const std::string& bind_prefix) {
+                                        const std::string& bind_prefix,
+                                        RuleInsert insert) {
   if (rule.body.empty()) {
     return Status::InvalidArgument("cannot translate bodiless clause " +
                                    rule.ToString() + " to SQL");
@@ -162,11 +171,19 @@ Result<RuleSqlProgram> RuleToSqlProgram(const datalog::Rule& rule,
     }
   }
 
+  // The statement that fills the target from "<head> FROM <source>".
+  const auto insert_into_target = [&](const std::string& projection) {
+    if (insert == RuleInsert::kAppend) {
+      return "INSERT INTO " + target_table + " SELECT " + projection;
+    }
+    return "INSERT INTO " + target_table + " (SELECT DISTINCT " + projection +
+           ") EXCEPT (SELECT * FROM " + target_table + ")";
+  };
+
   if (negations.empty()) {
-    DKB_ASSIGN_OR_RETURN(std::string select, RuleToSelect(rule, resolver));
-    program.statements.push_back("INSERT INTO " + target_table + " (" +
-                                 select + ") EXCEPT (SELECT * FROM " +
-                                 target_table + ")");
+    DKB_ASSIGN_OR_RETURN(std::string projection,
+                         PositiveProjection(rule, resolver));
+    program.statements.push_back(insert_into_target(projection));
     return program;
   }
 
@@ -269,9 +286,7 @@ Result<RuleSqlProgram> RuleToSqlProgram(const datalog::Rule& rule,
       head += it->second;
     }
     program.statements.push_back(
-        "INSERT INTO " + target_table + " (SELECT DISTINCT " + head +
-        " FROM " + bind_name(negations.size()) + ") EXCEPT (SELECT * FROM " +
-        target_table + ")");
+        insert_into_target(head + " FROM " + bind_name(negations.size())));
   }
   return program;
 }

@@ -43,19 +43,31 @@ using BindingResolver =
 Result<std::string> RuleToSelect(const datalog::Rule& rule,
                                  const BindingResolver& resolver);
 
+/// How the final statement of a RuleSqlProgram writes the target table.
+enum class RuleInsert {
+  /// `INSERT INTO target (SELECT DISTINCT <head> ...) EXCEPT (SELECT * FROM
+  /// target)`: only rows the target lacks, each once, so a target that is
+  /// a set stays one. Exit rules and the naive evaluator use it.
+  kInsertNew,
+  /// `INSERT INTO target SELECT <head> ...`: every derived row, duplicates
+  /// included. Semi-naive differential variants use it for `#p_new`, whose
+  /// only dedup is EvalContext::AbsorbNew.
+  kAppend,
+};
+
 /// Multi-statement SQL program evaluating one rule, supporting stratified
 /// negation via a binding-table pipeline:
 ///
 ///   bind_0 := SELECT DISTINCT <all positive-part variables>
 ///             FROM <positive atoms> WHERE <joins & constants>
 ///   bind_i := bind_{i-1} EXCEPT (bindings matching the i-th negated atom)
-///   target += SELECT DISTINCT <head projection> FROM bind_last
-///             EXCEPT (SELECT * FROM target)
+///   target += SELECT <head projection> FROM bind_last   (by RuleInsert)
 ///
 /// The caller must create `bind_tables` before running `statements` (in
 /// order) and drop them afterwards. Rules without negation produce no bind
-/// tables and a single statement. The final statement always dedups against
-/// the current contents of `target_table`.
+/// tables and a single statement. The binding tables are sets; the final
+/// statement dedups against the current contents of `target_table` under
+/// RuleInsert::kInsertNew and appends every projected row under kAppend.
 struct RuleSqlProgram {
   struct BindTable {
     std::string name;
@@ -68,10 +80,10 @@ struct RuleSqlProgram {
 /// `bind_prefix` makes the temp binding-table names unique per call site
 /// (e.g. "#r3_v0"). Resolver bindings must carry column types when the rule
 /// has negated atoms.
-Result<RuleSqlProgram> RuleToSqlProgram(const datalog::Rule& rule,
-                                        const BindingResolver& resolver,
-                                        const std::string& target_table,
-                                        const std::string& bind_prefix);
+Result<RuleSqlProgram> RuleToSqlProgram(
+    const datalog::Rule& rule, const BindingResolver& resolver,
+    const std::string& target_table, const std::string& bind_prefix,
+    RuleInsert insert = RuleInsert::kInsertNew);
 
 }  // namespace dkb::km
 

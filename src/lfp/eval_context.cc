@@ -59,10 +59,11 @@ Status EvalContext::CreateWithSchema(const std::string& name,
 Status EvalContext::EvalRuleInto(const datalog::Rule& rule,
                                  const km::BindingResolver& resolver,
                                  const std::string& target,
-                                 const std::string& bind_prefix) {
+                                 const std::string& bind_prefix,
+                                 km::RuleInsert insert) {
   DKB_ASSIGN_OR_RETURN(
       km::RuleSqlProgram program,
-      km::RuleToSqlProgram(rule, resolver, target, bind_prefix));
+      km::RuleToSqlProgram(rule, resolver, target, bind_prefix, insert));
   for (const auto& bind : program.bind_tables) {
     DKB_RETURN_IF_ERROR(CreateWithSchema(bind.name, bind.schema));
   }
@@ -169,7 +170,8 @@ Result<int64_t> EvalContext::AbsorbNew(const std::string& delta,
     // Each partition indexes its share of the catch-up rows, then walks
     // `new` in scan order: the first copy of each row not already known
     // survives, exactly as in one serial pass. Rows of `new` go into a
-    // per-call set only: they reach the persistent one through `full`.
+    // per-call set only (`fresh`, the only dedup within `new`): they reach
+    // the persistent one through `full`.
     survives.assign(new_refs.size(), 0);
     for_each(
         parts,

@@ -88,13 +88,15 @@ class EvalContext {
   Status CreateWithSchema(const std::string& name, const Schema& schema);
 
   /// Evaluates one rule into `target` through the run time library: plain
-  /// rules become a single INSERT-new statement; rules with negated atoms
-  /// run the binding-table pipeline of RuleToSqlProgram. `bind_prefix`
-  /// makes the pipeline's temp names unique per call site.
+  /// rules become a single INSERT statement; rules with negated atoms run
+  /// the binding-table pipeline of RuleToSqlProgram. `insert` picks how the
+  /// result reaches `target` (km::RuleInsert). `bind_prefix` makes the
+  /// pipeline's temp names unique per call site.
   Status EvalRuleInto(const datalog::Rule& rule,
                       const km::BindingResolver& resolver,
                       const std::string& target,
-                      const std::string& bind_prefix);
+                      const std::string& bind_prefix,
+                      km::RuleInsert insert = km::RuleInsert::kInsertNew);
 
   /// DELETE FROM `name` (attributed to temp management).
   Status Clear(const std::string& name);
@@ -113,11 +115,14 @@ class EvalContext {
   /// Batch-native semi-naive termination step and delta update in one:
   /// clears `delta`, then appends every distinct row of `new_table` that
   /// `known` has not seen to both `delta` and `full`, in `new_table` scan
-  /// order, and returns how many were appended. `known` indexes `full`
-  /// across calls: each call first catches up on the slots of `full`
-  /// appended since the last one (on the first call, the exit rules'
-  /// result; after that, the last delta), so an iteration hashes O(|new| +
-  /// |delta|) rows instead of all of `full`. Hashing and probing go to the
+  /// order, and returns how many were appended. `new_table` may hold
+  /// duplicates, since the differential variants append to it with
+  /// km::RuleInsert::kAppend: this call is the only dedup of a derived row
+  /// in an iteration, and the first copy in scan order survives. `known`
+  /// indexes `full` across calls: each call first catches up on the slots
+  /// of `full` appended since the last one (on the first call, the exit
+  /// rules' result; after that, the last delta), so an iteration hashes
+  /// O(|new| + |delta|) rows instead of all of `full`. Hashing and probing go to the
   /// termination bucket, the appends to temp management. When the rows to
   /// hash reach ParallelismPolicy::hash_build_min_rows and `known` has
   /// several partitions, the partitions are deduplicated concurrently; the

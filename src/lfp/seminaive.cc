@@ -87,9 +87,10 @@ Result<int64_t> EvaluateCliqueSemiNaive(EvalContext* ctx,
       DKB_RETURN_IF_ERROR(ctx->ClearTable(km::NewTableName(p)));
     }
 
-    // Differential variants of each recursive rule. Negated atoms are
-    // never clique members (stratification), so they are unaffected by the
-    // delta substitution.
+    // Differential variants of each recursive rule, appended to `new`
+    // without a dedup of their own: AbsorbNew dedups each derived row
+    // once. Negated atoms are never clique members (stratification), so
+    // they are unaffected by the delta substitution.
     size_t rule_counter = 0;
     for (const datalog::Rule& rule : node.recursive_rules) {
       ++rule_counter;
@@ -115,7 +116,8 @@ Result<int64_t> EvaluateCliqueSemiNaive(EvalContext* ctx,
         DKB_RETURN_IF_ERROR(ctx->EvalRuleInto(
             rule, resolver, km::NewTableName(rule.head.predicate),
             np + "sr" + std::to_string(rule_counter) + "_" +
-                std::to_string(delta_pos)));
+                std::to_string(delta_pos),
+            km::RuleInsert::kAppend));
       }
     }
 

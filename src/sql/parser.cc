@@ -18,6 +18,22 @@ Result<std::vector<StatementPtr>> ParseScript(const std::string& input) {
   return parser.ParseStatements();
 }
 
+namespace {
+
+/// One level of grammar nesting, held while its recursive call runs.
+class NestingScope {
+ public:
+  explicit NestingScope(size_t* depth) : depth_(depth) { ++*depth_; }
+  ~NestingScope() { --*depth_; }
+  NestingScope(const NestingScope&) = delete;
+  NestingScope& operator=(const NestingScope&) = delete;
+
+ private:
+  size_t* depth_;
+};
+
+}  // namespace
+
 const Token& Parser::Peek(size_t ahead) const {
   size_t i = pos_ + ahead;
   if (i >= tokens_.size()) return tokens_.back();
@@ -65,6 +81,12 @@ Status Parser::ErrorHere(const std::string& message) const {
   std::string got = (tok.type == TokenType::kEnd) ? "<end>" : tok.text;
   return Status::InvalidArgument(message + " but got '" + got +
                                  "' at offset " + std::to_string(tok.offset));
+}
+
+Status Parser::CheckNesting() const {
+  if (depth_ <= kMaxNestingDepth) return Status::OK();
+  return ErrorHere("nesting deeper than " + std::to_string(kMaxNestingDepth) +
+                   " levels");
 }
 
 bool Parser::IsBareAggregateName() const {
@@ -322,6 +344,8 @@ Result<std::unique_ptr<SelectStmt>> Parser::ParseSelectStmt() {
 Result<std::unique_ptr<SelectCore>> Parser::ParseSelectCore() {
   auto core = std::make_unique<SelectCore>();
   if (MatchSymbol("(")) {
+    NestingScope nested(&depth_);
+    DKB_RETURN_IF_ERROR(CheckNesting());
     DKB_ASSIGN_OR_RETURN(core->sub_select, ParseSelectStmt());
     DKB_RETURN_IF_ERROR(ExpectSymbol(")"));
     return core;
@@ -423,6 +447,8 @@ Result<ExprPtr> Parser::ParseAndChain() {
 
 Result<ExprPtr> Parser::ParseNotExpr() {
   if (MatchKeyword("NOT")) {
+    NestingScope nested(&depth_);
+    DKB_RETURN_IF_ERROR(CheckNesting());
     DKB_ASSIGN_OR_RETURN(ExprPtr child, ParseNotExpr());
     return ExprPtr(std::make_unique<NotExpr>(std::move(child)));
   }
@@ -431,6 +457,8 @@ Result<ExprPtr> Parser::ParseNotExpr() {
 
 Result<ExprPtr> Parser::ParsePrimaryCondition() {
   if (MatchSymbol("(")) {
+    NestingScope nested(&depth_);
+    DKB_RETURN_IF_ERROR(CheckNesting());
     DKB_ASSIGN_OR_RETURN(ExprPtr inner, ParseCondition());
     DKB_RETURN_IF_ERROR(ExpectSymbol(")"));
     return inner;

@@ -56,6 +56,34 @@ TEST(DatalogParserTest, ProgramClassifiesClauses) {
   EXPECT_EQ(program->queries[0].predicate, "ancestor");
 }
 
+TEST(DatalogParserTest, SpanLinesCountBlankLinesCommentsAndRuleLines) {
+  auto program = ParseProgram(
+      "p(a).\n"                      // line 1
+      "\n"
+      "% a comment line\n"
+      "   q(b).  % trailing comment\n"  // line 4
+      "r(X) :-\n"                    // line 5: a rule over three lines
+      "    p(X),\n"
+      "    q(X).\n"
+      "?- r(W).\n"
+      "\n\n"
+      "s(c). t(d).\n"                // line 11, twice
+      "u(X) :- r(X).");              // line 12, no final newline
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  ASSERT_EQ(program->facts.size(), 4u);
+  ASSERT_EQ(program->rules.size(), 2u);
+  EXPECT_EQ(program->facts[0].span.line, 1);
+  EXPECT_EQ(program->facts[1].span.line, 4);
+  EXPECT_EQ(program->facts[2].span.line, 11);
+  EXPECT_EQ(program->facts[3].span.line, 11);
+  EXPECT_EQ(program->rules[0].span.line, 5);
+  EXPECT_EQ(program->rules[1].span.line, 12);
+  // Offsets still bracket each clause, from its first token to its '.'.
+  const SourceSpan& rule = program->rules[0].span;
+  EXPECT_EQ(rule.end - rule.begin,
+            std::string("r(X) :-\n    p(X),\n    q(X).").size());
+}
+
 TEST(DatalogParserTest, FactWithVariableRejected) {
   EXPECT_FALSE(ParseProgram("parent(X, mary).").ok());
 }

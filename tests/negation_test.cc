@@ -168,6 +168,34 @@ TEST(NegationSqlTest, PipelineShape) {
             std::string::npos);
 }
 
+TEST(NegationSqlTest, DefaultPipelineEndsWithInsertNew) {
+  auto rule = ParseRule("p(X, Y) :- q(X, Z), e(Z, Y), not r(X, Y).");
+  ASSERT_TRUE(rule.ok());
+  auto program = km::RuleToSqlProgram(*rule, TypedResolver, "tgt", "#x");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  ASSERT_EQ(program->statements.size(), 3u);
+  EXPECT_EQ(program->statements[2],
+            "INSERT INTO tgt (SELECT DISTINCT v0, v2 FROM #x_b1) "
+            "EXCEPT (SELECT * FROM tgt)");
+}
+
+TEST(NegationSqlTest, AppendPipelineEndsWithPlainInsert) {
+  auto rule = ParseRule("p(X, Y) :- q(X, Z), e(Z, Y), not r(X, Y).");
+  ASSERT_TRUE(rule.ok());
+  auto program = km::RuleToSqlProgram(*rule, TypedResolver, "tgt", "#x",
+                                      km::RuleInsert::kAppend);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  ASSERT_EQ(program->bind_tables.size(), 2u);
+  ASSERT_EQ(program->statements.size(), 3u);
+  // The binding stages are unchanged: bind tables stay sets.
+  auto dedup = km::RuleToSqlProgram(*rule, TypedResolver, "tgt", "#x");
+  ASSERT_TRUE(dedup.ok());
+  EXPECT_EQ(program->statements[0], dedup->statements[0]);
+  EXPECT_EQ(program->statements[1], dedup->statements[1]);
+  // Only the head projection from the last bind table changes.
+  EXPECT_EQ(program->statements[2], "INSERT INTO tgt SELECT v0, v2 FROM #x_b1");
+}
+
 TEST(NegationSqlTest, RuleToSelectRejectsNegation) {
   auto rule = ParseRule("p(X) :- q(X), not r(X).");
   ASSERT_TRUE(rule.ok());

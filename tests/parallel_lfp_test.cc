@@ -215,8 +215,9 @@ TEST(PartitionedDiffTest, SurvivorsKeepNewScanOrder) {
 
 /// A layered DAG with skip edges: every node reaches the next layer along
 /// two paths and the layer after it directly, so semi-naive `new` batches
-/// hold rows `full` already has. (The INSERT-new statements that fill
-/// `new` dedup within it; SurvivorsKeepNewScanOrder covers duplicates.)
+/// hold rows `full` already has, and the same row more than once: the
+/// differential variants append to `new` without a dedup, so AbsorbNew
+/// drops both kinds.
 std::string DiamondEdges() {
   std::string text;
   const int kLayers = 8;

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/rng.h"
 #include "datalog/parser.h"
@@ -73,6 +75,89 @@ TEST(RobustnessTest, DatalogParserSurvivesGarbage) {
     auto rule = datalog::ParseRule(input);
     (void)rule;
   }
+}
+
+/// `prefix` + `depth` x `open` + `core` + `depth` x `close`.
+std::string Nested(const std::string& prefix, size_t depth,
+                   const std::string& open, const std::string& core,
+                   const std::string& close) {
+  std::string out = prefix;
+  for (size_t i = 0; i < depth; ++i) out += open;
+  out += core;
+  for (size_t i = 0; i < depth; ++i) out += close;
+  return out;
+}
+
+/// The three nestings the SQL grammar recurses on, each `depth` deep:
+/// parenthesized conditions, NOT chains and parenthesized sub-selects.
+std::vector<std::string> NestedStatements(size_t depth) {
+  return {Nested("SELECT c0 FROM t WHERE ", depth, "(", "c0 = 1", ")"),
+          Nested("SELECT c0 FROM t WHERE ", depth, "NOT ", "c0 = 2", ""),
+          Nested("INSERT INTO u ", depth, "(", "SELECT c0 FROM t", ")")};
+}
+
+constexpr size_t kHostileDepth = 10000;
+
+TEST(RobustnessTest, DeeplyNestedSqlIsAnErrorNotACrash) {
+  Database db;
+  ASSERT_TRUE(db.ExecuteAll("CREATE TABLE t (c0 INT);"
+                            "CREATE TABLE u (c0 INT);"
+                            "INSERT INTO t VALUES (1)")
+                  .ok());
+  for (size_t depth : {sql::Parser::kMaxNestingDepth + 1, kHostileDepth}) {
+    for (const std::string& statement : NestedStatements(depth)) {
+      SCOPED_TRACE(statement.substr(0, 40) + " depth " +
+                   std::to_string(depth));
+      auto result = db.Execute(statement);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(result.status().message().find("nesting"), std::string::npos)
+          << result.status().ToString();
+    }
+  }
+  auto count = db.QueryCount("SELECT COUNT(*) FROM t");
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(*count, 1);
+}
+
+TEST(RobustnessTest, DeeplyNestedSqlThroughTestbedIsAnError) {
+  // The server hands a kSql frame's text to Testbed::ExecuteSql.
+  auto tb_or = testbed::Testbed::Create();
+  ASSERT_TRUE(tb_or.ok());
+  auto tb = std::move(*tb_or);
+  ASSERT_TRUE(tb->ExecuteSql("CREATE TABLE t (c0 INT)").ok());
+  ASSERT_TRUE(tb->ExecuteSql("CREATE TABLE u (c0 INT)").ok());
+  for (const std::string& statement : NestedStatements(kHostileDepth)) {
+    auto result = tb->ExecuteSql(statement);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_TRUE(tb->ExecuteSql("SELECT c0 FROM t").ok());
+}
+
+TEST(RobustnessTest, SqlAtTheNestingLimitRunsOnAThread) {
+  // A thread's default stack, as on a server connection thread, holds
+  // the deepest nesting the parser accepts.
+  Database db;
+  ASSERT_TRUE(db.ExecuteAll("CREATE TABLE t (c0 INT);"
+                            "CREATE TABLE u (c0 INT);"
+                            "INSERT INTO t VALUES (1)")
+                  .ok());
+  std::vector<Status> statuses;
+  std::thread worker([&db, &statuses]() {
+    for (const std::string& statement :
+         NestedStatements(sql::Parser::kMaxNestingDepth)) {
+      statuses.push_back(db.Execute(statement).status());
+    }
+  });
+  worker.join();
+  ASSERT_EQ(statuses.size(), 3u);
+  for (const Status& status : statuses) {
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+  auto copied = db.QueryCount("SELECT COUNT(*) FROM u");
+  ASSERT_TRUE(copied.ok());
+  EXPECT_EQ(*copied, 1);
 }
 
 TEST(RobustnessTest, DatabaseUsableAfterErrors) {

@@ -111,5 +111,46 @@ TEST(RuleSqlTest, QuotedConstantEscaped) {
   EXPECT_NE(sql->find("'o''neil'"), std::string::npos);
 }
 
+TEST(RuleSqlTest, DefaultProgramInsertsOnlyNewRows) {
+  // Exit rules and the naive evaluator: the target stays a set.
+  auto program = RuleToSqlProgram(R("anc(X, Y) :- par(X, Z), anc(Z, Y)."),
+                                  SimpleResolver, "#anc_new", "#v");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  ASSERT_EQ(program->statements.size(), 1u);
+  EXPECT_EQ(program->statements[0],
+            "INSERT INTO #anc_new (SELECT DISTINCT r0.c0, r1.c1 "
+            "FROM par_tbl r0, anc_tbl r1 WHERE r1.c0 = r0.c1) "
+            "EXCEPT (SELECT * FROM #anc_new)");
+}
+
+TEST(RuleSqlTest, AppendProgramHasNoDedup) {
+  // Semi-naive differential variants: AbsorbNew is the only dedup.
+  auto program = RuleToSqlProgram(R("anc(X, Y) :- par(X, Z), anc(Z, Y)."),
+                                  SimpleResolver, "#anc_new", "#v",
+                                  RuleInsert::kAppend);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  EXPECT_TRUE(program->bind_tables.empty());
+  ASSERT_EQ(program->statements.size(), 1u);
+  const std::string& sql = program->statements[0];
+  EXPECT_EQ(sql,
+            "INSERT INTO #anc_new SELECT r0.c0, r1.c1 "
+            "FROM par_tbl r0, anc_tbl r1 WHERE r1.c0 = r0.c1");
+  EXPECT_EQ(sql.find("DISTINCT"), std::string::npos);
+  EXPECT_EQ(sql.find("EXCEPT"), std::string::npos);
+}
+
+TEST(RuleSqlTest, AppendProgramKeepsConstantsAndErrors) {
+  auto program = RuleToSqlProgram(R("p(tag, X) :- e(X, 7)."), SimpleResolver,
+                                  "t", "#v", RuleInsert::kAppend);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  EXPECT_EQ(program->statements[0],
+            "INSERT INTO t SELECT 'tag', r0.c0 FROM e_tbl r0 "
+            "WHERE r0.c1 = 7");
+  auto unsafe = RuleToSqlProgram(R("p(X, Y) :- e(X, Z2)."), SimpleResolver,
+                                 "t", "#v", RuleInsert::kAppend);
+  ASSERT_FALSE(unsafe.ok());
+  EXPECT_EQ(unsafe.status().code(), StatusCode::kSemanticError);
+}
+
 }  // namespace
 }  // namespace dkb::km
